@@ -1,6 +1,7 @@
 // E3a — wall-clock compute cost of each scheduling algorithm vs port count
 // (google-benchmark microbenchmark), plus the steady-state zero-allocation
-// gate CI runs (`--alloc-check`), plus a self-contained timing mode
+// gate CI runs (`--alloc-check`, which also covers the event engine), plus a
+// self-contained timing mode
 // (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
 // before/after comparisons are recorded, not copy-pasted.
 //
@@ -22,9 +23,11 @@
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
+#include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -77,9 +80,79 @@ BENCHMARK(BM_MaxSizeHk)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_MaxWeightHungarian)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_Rotor)->RangeMultiplier(2)->Range(kLo, kHi);
 
+/// Event churn shaped like the framework's packet path: every event captures
+/// `[this, net::Packet, port]` (OCS delivery, EPS pumping), the largest hot
+/// closure, re-arms itself, and now and then schedules and cancels a
+/// delivery the way an OCS reconfiguration cuts one in flight.
+class EngineChurn {
+ public:
+  explicit EngineChurn(std::uint32_t depth) : depth_{depth} {}
+
+  /// Arms `depth` events, then runs until `events` more have been
+  /// scheduled and everything pending has fired.
+  void run(std::uint64_t events) {
+    budget_ = events;
+    for (net::PortId port = 0; port < depth_; ++port) arm(port);
+    sim_.run();
+  }
+
+  [[nodiscard]] const sim::SimulatorStats& stats() const noexcept { return sim_.stats(); }
+
+ private:
+  sim::EventId arm(net::PortId port) {
+    net::Packet pkt;
+    pkt.id = ++packets_;
+    pkt.src = port;
+    pkt.dst = (port + 1) % depth_;
+    pkt.size_bytes = rng_.uniform_int(64, 1500);
+    auto deliver = [this, pkt, port] { delivered(pkt, port); };
+    static_assert(sizeof(deliver) <= sim::Callback::kInlineBytes);
+    return sim_.schedule(sim::Time::nanoseconds(rng_.uniform_int(1, 4000)), deliver);
+  }
+
+  void delivered(const net::Packet& pkt, net::PortId port) {
+    bytes_ += pkt.size_bytes;
+    if (budget_ == 0) return;
+    --budget_;
+    arm(port);
+    if (budget_ % 4096 == 0) sim_.cancel(arm(port));
+  }
+
+  sim::Simulator sim_;
+  sim::Rng rng_{7};
+  std::uint32_t depth_;
+  std::uint64_t budget_{0};
+  std::uint64_t packets_{0};
+  std::int64_t bytes_{0};
+};
+
+/// The engine half of `--alloc-check`: once the event queue has reached its
+/// peak pending depth, scheduling, firing and cancelling must not allocate.
+bool engine_alloc_check() {
+  constexpr std::uint32_t kDepth = 1000;
+  constexpr std::uint64_t kWarmupEvents = 100'000;
+  constexpr std::uint64_t kMeasuredEvents = 1'000'000;
+
+  EngineChurn churn{kDepth};
+  churn.run(kWarmupEvents);
+  const std::uint64_t executed_before = churn.stats().events_executed;
+  const std::uint64_t before = bench::heap_allocs();
+  churn.run(kMeasuredEvents);
+  const std::uint64_t allocs = bench::heap_allocs() - before;
+  const std::uint64_t executed = churn.stats().events_executed - executed_before;
+
+  const bool ok = allocs == 0;
+  std::printf("steady-state heap allocations of the event engine "
+              "(%llu events at pending depth %u):\n  %-31s %8llu %s\n",
+              static_cast<unsigned long long>(executed), kDepth, "[this, Packet, port] closures",
+              static_cast<unsigned long long>(allocs), ok ? "OK" : "FAIL");
+  return ok;
+}
+
 /// `--alloc-check`: for every registered matcher spec, warm the decision
-/// loop, then count heap allocations over a steady-state window.  Any
-/// allocation is a regression of the allocation-free compute contract.
+/// loop, then count heap allocations over a steady-state window; then do the
+/// same for the event engine (engine_alloc_check).  Any allocation is a
+/// regression of the allocation-free hot-path contract.
 /// Run at 48, 64 AND 128 ports: 48 is the 2-rack fat-tree ToR shape (32
 /// host ports + 16 uplinks at 2:1 oversubscription) — a non-power-of-two
 /// count the topology path schedules every epoch — while 64/128 prove the
@@ -121,12 +194,15 @@ int alloc_check() {
                   static_cast<unsigned long long>(allocs), ok ? "OK" : "FAIL");
     }
   }
-  if (failures > 0) {
-    std::fprintf(stderr, "alloc-check: %d matcher config(s) allocate in steady state\n",
-                 failures);
+  const bool engine_ok = engine_alloc_check();
+  if (failures > 0 || !engine_ok) {
+    std::fprintf(stderr,
+                 "alloc-check: %d matcher config(s)%s allocate in steady state\n", failures,
+                 engine_ok ? "" : " and the event engine");
     return 1;
   }
-  std::printf("alloc-check: all matchers run allocation-free in steady state\n");
+  std::printf("alloc-check: all matchers and the event engine run allocation-free in steady "
+              "state\n");
   return 0;
 }
 

@@ -1,20 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <utility>
-
 namespace xdrs::sim {
-
-EventId Simulator::schedule(Time delay, EventQueue::Callback cb) {
-  if (delay.is_negative()) delay = Time::zero();
-  ++stats_.events_scheduled;
-  return queue_.push(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
-  if (at < now_) at = now_;
-  ++stats_.events_scheduled;
-  return queue_.push(at, std::move(cb));
-}
 
 bool Simulator::cancel(EventId id) {
   const bool was_pending = queue_.cancel(id);
@@ -22,13 +8,20 @@ bool Simulator::cancel(EventId id) {
   return was_pending;
 }
 
+bool Simulator::step(Time horizon) {
+  // The queue keeps its head live, so the peek below is a plain read and
+  // the pop that follows never skips a cancelled entry first.
+  if (stopping_ || queue_.empty() || queue_.next_time() > horizon) return false;
+  auto popped = queue_.pop();
+  now_ = popped.at;
+  ++stats_.events_executed;
+  popped.cb();
+  return true;
+}
+
 void Simulator::run_until(Time horizon) {
   stopping_ = false;
-  while (!stopping_ && !queue_.empty() && queue_.next_time() <= horizon) {
-    auto popped = queue_.pop();
-    now_ = popped.at;
-    ++stats_.events_executed;
-    popped.cb();
+  while (step(horizon)) {
   }
   // Advance the clock to the horizon even if the queue drained early, so a
   // subsequent run_until continues from a consistent epoch.
@@ -37,11 +30,7 @@ void Simulator::run_until(Time horizon) {
 
 void Simulator::run() {
   stopping_ = false;
-  while (!stopping_ && !queue_.empty()) {
-    auto popped = queue_.pop();
-    now_ = popped.at;
-    ++stats_.events_executed;
-    popped.cb();
+  while (step(Time::max())) {
   }
 }
 

@@ -6,11 +6,19 @@
 // Single-threaded by design — determinism is worth more to a scheduling
 // study than parallel speed, and each experiment instead parallelises across
 // parameter points (exp::ExperimentRunner, see exp/runner.hpp).
+//
+// Callbacks are move-only sim::Callback values (see event_queue.hpp).  A
+// capture of up to 128 bytes — `this`, a net::Packet and a port fit — is
+// stored inline, so scheduling it allocates nothing once the engine has
+// reached its peak pending depth; larger captures allocate.  Cancellation is
+// generation-checked: an EventId whose event already fired or was cancelled
+// never matches a later event that reuses its storage.
 #ifndef XDRS_SIM_SIMULATOR_HPP
 #define XDRS_SIM_SIMULATOR_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -33,12 +41,22 @@ class Simulator {
   /// Current simulated time.  Monotonically non-decreasing.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `cb` to run `delay` from now.  Negative delays are clamped to
-  /// zero (an event can never fire in the past).
-  EventId schedule(Time delay, EventQueue::Callback cb);
+  /// Schedules callable `cb` to run `delay` from now.  Negative delays are
+  /// clamped to zero (an event can never fire in the past).
+  template <class F>
+  EventId schedule(Time delay, F&& cb) {
+    if (delay.is_negative()) delay = Time::zero();
+    ++stats_.events_scheduled;
+    return queue_.push(now_ + delay, std::forward<F>(cb));
+  }
 
-  /// Schedules `cb` at an absolute timestamp, clamped to `now()`.
-  EventId schedule_at(Time at, EventQueue::Callback cb);
+  /// Schedules callable `cb` at an absolute timestamp, clamped to `now()`.
+  template <class F>
+  EventId schedule_at(Time at, F&& cb) {
+    if (at < now_) at = now_;
+    ++stats_.events_scheduled;
+    return queue_.push(at, std::forward<F>(cb));
+  }
 
   /// Cancels a pending event.  Returns true if it had not yet fired.
   bool cancel(EventId id);
@@ -57,6 +75,10 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
  private:
+  /// Fires the earliest pending event if it is stamped at or before
+  /// `horizon` and no stop was requested; returns false otherwise.
+  bool step(Time horizon);
+
   EventQueue queue_;
   Time now_{Time::zero()};
   bool stopping_{false};

@@ -1,7 +1,15 @@
 // Tests for the event queue and the discrete-event engine: ordering,
-// determinism, cancellation and horizon semantics.
+// determinism, cancellation, callback lifetimes and horizon semantics.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -79,6 +87,186 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
 
+TEST(EventQueue, StaleIdNeverCancelsTheSlotsNextEvent) {
+  EventQueue q;
+  const EventId cancelled = q.push(1_us, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  bool fired = false;
+  const EventId reuser = q.push(2_us, [&] { fired = true; });
+  ASSERT_EQ(reuser.slot, cancelled.slot);  // the freed slot was reused
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().cb();
+  EXPECT_TRUE(fired);
+
+  // Same for an id whose event already fired.
+  const EventId done = q.push(3_us, [] {});
+  q.pop().cb();
+  bool fired_again = false;
+  const EventId next = q.push(4_us, [&] { fired_again = true; });
+  ASSERT_EQ(next.slot, done.slot);
+  EXPECT_FALSE(q.cancel(done));
+  q.pop().cb();
+  EXPECT_TRUE(fired_again);
+}
+
+// Randomized interleavings of push/cancel/pop checked against a reference
+// model: the set of pending (time, seq) keys, whose first element is the next
+// event to fire.  Times are drawn from a few values so ties are common.
+TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng{seed};
+    EventQueue q;
+    std::set<std::pair<Time, std::uint64_t>> model;
+    std::map<std::uint64_t, Time> pending_at;  // seq -> time, pending only
+    std::vector<EventId> issued;
+    std::vector<std::uint64_t> fired;  // seqs in firing order
+    Time now = Time::zero();
+
+    for (int step = 0; step < 600; ++step) {
+      const auto op = rng() % 10;
+      if (op < 5) {
+        const Time at = now + Time::nanoseconds(static_cast<std::int64_t>(rng() % 4));
+        const std::uint64_t expected_seq = q.total_pushed() + 1;
+        const EventId id = q.push(at, [&fired, expected_seq] { fired.push_back(expected_seq); });
+        ASSERT_EQ(id.seq, expected_seq);
+        issued.push_back(id);
+        model.emplace(at, id.seq);
+        pending_at.emplace(id.seq, at);
+      } else if (op < 8) {
+        // Any id ever issued (pending, fired or already cancelled), a
+        // never-issued one, or a real seq paired with another slot.
+        EventId id{};
+        const auto kind = rng() % 4;
+        if (kind <= 1 && !issued.empty()) {
+          id = issued[rng() % issued.size()];
+        } else if (kind == 2) {
+          id = EventId{q.total_pushed() + 1 + rng() % 8, static_cast<std::uint32_t>(rng() % 64)};
+        } else if (!issued.empty()) {
+          id = issued[rng() % issued.size()];
+          id.slot += 1 + static_cast<std::uint32_t>(rng() % 3);
+        }
+        const auto it = pending_at.find(id.seq);
+        const bool expect = it != pending_at.end() && issued[id.seq - 1] == id;
+        ASSERT_EQ(q.cancel(id), expect) << "seed " << seed << " step " << step;
+        if (expect) {
+          model.erase({it->second, id.seq});
+          pending_at.erase(it);
+        }
+      } else if (model.empty()) {
+        EXPECT_THROW((void)q.pop(), std::logic_error);
+      } else {
+        const auto [at, seq] = *model.begin();
+        auto popped = q.pop();
+        ASSERT_EQ(popped.at, at);
+        ASSERT_EQ(popped.id.seq, seq);
+        popped.cb();
+        ASSERT_EQ(fired.back(), seq);
+        model.erase(model.begin());
+        pending_at.erase(seq);
+        now = at;
+      }
+
+      ASSERT_EQ(q.size(), model.size());
+      ASSERT_EQ(q.empty(), model.empty());
+      if (model.empty()) {
+        EXPECT_THROW((void)q.next_time(), std::logic_error);
+      } else {
+        ASSERT_EQ(q.next_time(), model.begin()->first);
+      }
+    }
+    // Drain: the rest fires in (time, seq) order.
+    while (!model.empty()) {
+      ASSERT_EQ(q.pop().id.seq, model.begin()->second);
+      model.erase(model.begin());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(Callback, MoveLeavesSourceEmpty) {
+  int calls = 0;
+  Callback a{[&calls] { ++calls; }};
+  Callback b{std::move(a)};
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(b));
+  b();
+  EXPECT_EQ(calls, 1);
+}
+
+// A captured shared_ptr's count must drop back to 1 once the queue lets go of
+// the callback: after pop, after cancel and when a non-empty queue dies.
+template <class MakeCallback>
+void expect_capture_released(MakeCallback make) {
+  const auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    (void)q.push(1_us, make(token));
+    EXPECT_EQ(token.use_count(), 2);
+    {
+      auto popped = q.pop();
+      popped.cb();
+      EXPECT_EQ(*token, 1);
+    }
+    EXPECT_EQ(token.use_count(), 1) << "after pop";
+  }
+  {
+    EventQueue q;
+    const EventId id = q.push(1_us, make(token));
+    (void)q.push(2_us, [] {});
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(token.use_count(), 1) << "after cancel";
+  }
+  {
+    EventQueue q;
+    (void)q.push(1_us, make(token));
+    (void)q.push(2_us, make(token));
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "after destroying a non-empty queue";
+}
+
+TEST(Callback, LargeCaptureIsReleased) {
+  struct Large {
+    std::shared_ptr<int> token;
+    std::array<char, 2 * Callback::kInlineBytes> pad{};
+    void operator()() const { ++*token; }
+  };
+  static_assert(sizeof(Large) > Callback::kInlineBytes);
+  expect_capture_released([](const std::shared_ptr<int>& t) { return Large{t}; });
+}
+
+TEST(Callback, MoveOnlyCaptureIsReleased) {
+  expect_capture_released([](const std::shared_ptr<int>& t) {
+    return [t, owned = std::make_unique<int>(1)] { *t += *owned; };
+  });
+}
+
+TEST(Callback, MutableCaptureKeepsItsState) {
+  expect_capture_released([](const std::shared_ptr<int>& t) {
+    return [t, calls = 0]() mutable { *t = ++calls; };
+  });
+  int seen = 0;
+  Callback cb{[&seen, calls = 0]() mutable { seen = ++calls; }};
+  cb();
+  Callback moved{std::move(cb)};
+  moved();
+  EXPECT_EQ(seen, 2);
+}
+
+TEST(Simulator, PendingCapturesReleasedWithEngine) {
+  const auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.schedule(1_us, [token] { ++*token; });
+    sim.schedule(2_us, [token] { ++*token; });
+    sim.run_until(1_us);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(Simulator, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<std::int64_t> stamps;
@@ -153,6 +341,37 @@ TEST(Simulator, StopHaltsRun) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, RunUntilHonoursStopWithoutAdvancingClock) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(1_us, [&] {
+    ++fired;
+    sim.stop();
+  });
+  sim.schedule(2_us, [&] { ++fired; });
+  sim.run_until(5_us);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 1_us);
+  sim.run_until(5_us);  // a new run clears the stop request
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), 5_us);
+}
+
+TEST(Simulator, RunUntilSkipsCancelledHead) {
+  Simulator sim;
+  int fired = 0;
+  const EventId head = sim.schedule(1_us, [&] { ++fired; });
+  sim.schedule(10_us, [&] { ++fired; });
+  EXPECT_TRUE(sim.cancel(head));
+  sim.run_until(5_us);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 5_us);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.stats().events_executed, 1u);
 }
 
 TEST(Simulator, CancelScheduledEvent) {
