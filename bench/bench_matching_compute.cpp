@@ -1,6 +1,7 @@
 // E3a — wall-clock compute cost of each scheduling algorithm vs port count
 // (google-benchmark microbenchmark), plus the steady-state zero-allocation
-// gate CI runs (`--alloc-check`, which also covers the event engine), plus a
+// gate CI runs (`--alloc-check`, which also covers the event engine and the
+// VOQ bank), plus a
 // self-contained timing mode
 // (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
 // before/after comparisons are recorded, not copy-pasted.
@@ -20,11 +21,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
+#include "queueing/voq.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -149,9 +152,60 @@ bool engine_alloc_check() {
   return ok;
 }
 
+/// The VOQ half of `--alloc-check`: at constant occupancy (each enqueue is
+/// paired with a dequeue of the oldest queued packet) a 128x128 bank, status
+/// callback installed, must not allocate once its node pool has grown to
+/// that occupancy.
+bool voq_alloc_check() {
+  constexpr std::uint32_t kPorts = 128;
+  constexpr std::size_t kBacklog = 16'384;  // one packet per VOQ on average
+  constexpr std::uint64_t kWarmupPairs = 100'000;
+  constexpr std::uint64_t kMeasuredPairs = 1'000'000;
+
+  queueing::VoqBank bank{kPorts, kPorts};
+  std::uint64_t transitions = 0;
+  bank.set_status_callback(
+      [&transitions](net::PortId, net::PortId, queueing::VoqStatus) { ++transitions; });
+  sim::Rng rng{11};
+  // Ring of the queued packets' (input, output), oldest at `oldest`.
+  std::vector<std::pair<net::PortId, net::PortId>> queued(kBacklog);
+  std::size_t oldest = 0;
+  std::uint64_t id = 0;
+  const auto enqueue_at = [&](std::size_t k) {
+    net::Packet p;
+    p.id = ++id;
+    p.src = static_cast<net::PortId>(rng.next_below(kPorts));
+    p.dst = static_cast<net::PortId>(rng.next_below(kPorts));
+    p.size_bytes = rng.uniform_int(64, 1500);
+    queued[k] = {p.src, p.dst};
+    (void)bank.enqueue(p.src, p);
+  };
+  const auto pairs = [&](std::uint64_t n) {
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const auto [in, out] = queued[oldest];
+      enqueue_at(oldest);
+      (void)bank.dequeue(in, out);
+      oldest = (oldest + 1) % kBacklog;
+    }
+  };
+  for (std::size_t k = 0; k < kBacklog; ++k) enqueue_at(k);
+  pairs(kWarmupPairs);
+  const std::uint64_t before = bench::heap_allocs();
+  pairs(kMeasuredPairs);
+  const std::uint64_t allocs = bench::heap_allocs() - before;
+
+  const bool ok = allocs == 0 && bank.total_packets() == static_cast<std::int64_t>(kBacklog);
+  std::printf("steady-state heap allocations of the VOQ bank "
+              "(%llu enqueue/dequeue pairs, %ux%u, %zu queued):\n  %-31s %8llu %s\n",
+              static_cast<unsigned long long>(kMeasuredPairs), kPorts, kPorts, kBacklog,
+              "enqueue + dequeue", static_cast<unsigned long long>(allocs), ok ? "OK" : "FAIL");
+  return ok;
+}
+
 /// `--alloc-check`: for every registered matcher spec, warm the decision
 /// loop, then count heap allocations over a steady-state window; then do the
-/// same for the event engine (engine_alloc_check).  Any allocation is a
+/// same for the event engine (engine_alloc_check) and the VOQ bank
+/// (voq_alloc_check).  Any allocation is a
 /// regression of the allocation-free hot-path contract.
 /// Run at 48, 64 AND 128 ports: 48 is the 2-rack fat-tree ToR shape (32
 /// host ports + 16 uplinks at 2:1 oversubscription) — a non-power-of-two
@@ -195,14 +249,15 @@ int alloc_check() {
     }
   }
   const bool engine_ok = engine_alloc_check();
-  if (failures > 0 || !engine_ok) {
-    std::fprintf(stderr,
-                 "alloc-check: %d matcher config(s)%s allocate in steady state\n", failures,
-                 engine_ok ? "" : " and the event engine");
+  const bool voq_ok = voq_alloc_check();
+  if (failures > 0 || !engine_ok || !voq_ok) {
+    std::fprintf(stderr, "alloc-check: %d matcher config(s)%s%s allocate in steady state\n",
+                 failures, engine_ok ? "" : ", the event engine",
+                 voq_ok ? "" : ", the VOQ bank");
     return 1;
   }
-  std::printf("alloc-check: all matchers and the event engine run allocation-free in steady "
-              "state\n");
+  std::printf("alloc-check: all matchers, the event engine and the VOQ bank run "
+              "allocation-free in steady state\n");
   return 0;
 }
 

@@ -74,8 +74,7 @@ void ProcessingLogic::ingest(const net::Packet& p) {
   }
 }
 
-void ProcessingLogic::enqueue(net::Packet p) {
-  p.enqueued_at = sim_.now();
+void ProcessingLogic::enqueue(const net::Packet& p) {
   const net::PortId input = p.src;
   if (voqs_.enqueue(input, p)) {
     trace_.record(sim_.now(), TraceCategory::kEnqueue, input, p.dst);

@@ -87,7 +87,7 @@ class ProcessingLogic {
     sim::Time eps_busy_until{};
   };
 
-  void enqueue(net::Packet p);
+  void enqueue(const net::Packet& p);
   void pump_ocs(net::PortId input);
   void pump_eps(net::PortId input);
   /// Serialises `p` onto the electrical path of `input` and admits it to

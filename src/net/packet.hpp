@@ -74,9 +74,7 @@ struct Packet {
   std::int64_t size_bytes{0};
   FiveTuple tuple{};
   TrafficClass tclass{TrafficClass::kBestEffort};
-  sim::Time created_at{};    ///< stamped by the generator at the host
-  sim::Time enqueued_at{};   ///< stamped when entering a VOQ
-  sim::Time delivered_at{};  ///< stamped on delivery at the egress
+  sim::Time created_at{};  ///< stamped by the generator at the host
   /// Absolute simulation time by which the owning FLOW should finish.
   /// Zero means "no deadline"; every packet of a flow carries the same
   /// value, so the completion recorder and deadline-aware policies read it

@@ -25,6 +25,17 @@ const VoqBank::Cell& VoqBank::cell(net::PortId input, net::PortId output) const 
   return cells_[static_cast<std::size_t>(input) * outputs_ + output];
 }
 
+std::uint32_t VoqBank::acquire_node() {
+  if (free_head_ != kNil) {
+    const std::uint32_t i = free_head_;
+    free_head_ = node(i).next;
+    return i;
+  }
+  if (nodes_ == kNil) throw std::length_error{"VoqBank: node pool exhausted"};
+  if (nodes_ % kChunkNodes == 0) chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+  return nodes_++;
+}
+
 void VoqBank::check_ports(net::PortId input, net::PortId output) const {
   if (input >= inputs_ || output >= outputs_) {
     throw std::out_of_range{"VoqBank: port index out of range"};
@@ -39,7 +50,7 @@ bool VoqBank::enqueue(net::PortId input, const net::Packet& p) {
       limits_.max_bytes_per_voq > 0 && c.bytes + p.size_bytes > limits_.max_bytes_per_voq;
   const bool over_voq_packets =
       limits_.max_packets_per_voq > 0 &&
-      static_cast<std::int64_t>(c.fifo.size()) + 1 > limits_.max_packets_per_voq;
+      static_cast<std::int64_t>(c.count) + 1 > limits_.max_packets_per_voq;
   const bool over_shared =
       limits_.shared_buffer_bytes > 0 && total_bytes_ + p.size_bytes > limits_.shared_buffer_bytes;
   if (over_voq_bytes || over_voq_packets || over_shared) {
@@ -48,8 +59,16 @@ bool VoqBank::enqueue(net::PortId input, const net::Packet& p) {
     return false;
   }
 
-  const bool was_empty = c.fifo.empty();
-  c.fifo.push_back(p);
+  const std::uint32_t n = acquire_node();
+  node(n).packet = p;  // its link is set when a later packet joins this VOQ
+  const bool was_empty = c.count == 0;
+  if (was_empty) {
+    c.head = n;
+  } else {
+    node(c.tail).next = n;
+  }
+  c.tail = n;
+  ++c.count;
   c.bytes += p.size_bytes;
   input_bytes_[input] += p.size_bytes;
   input_peaks_[input] = std::max(input_peaks_[input], input_bytes_[input]);
@@ -65,24 +84,29 @@ bool VoqBank::enqueue(net::PortId input, const net::Packet& p) {
 std::optional<net::Packet> VoqBank::dequeue(net::PortId input, net::PortId output) {
   check_ports(input, output);
   Cell& c = cell(input, output);
-  if (c.fifo.empty()) return std::nullopt;
+  if (c.count == 0) return std::nullopt;
 
-  net::Packet p = c.fifo.front();
-  c.fifo.pop_front();
+  const std::uint32_t n = c.head;
+  Node& head = node(n);
+  net::Packet p = head.packet;
+  c.head = head.next;
+  head.next = free_head_;
+  free_head_ = n;
+  --c.count;
   c.bytes -= p.size_bytes;
   input_bytes_[input] -= p.size_bytes;
   total_bytes_ -= p.size_bytes;
   --total_packets_;
   ++stats_.dequeued_packets;
 
-  if (c.fifo.empty() && status_cb_) status_cb_(input, output, VoqStatus::kBecameEmpty);
+  if (c.count == 0 && status_cb_) status_cb_(input, output, VoqStatus::kBecameEmpty);
   return p;
 }
 
 const net::Packet* VoqBank::peek(net::PortId input, net::PortId output) const {
   check_ports(input, output);
   const Cell& c = cell(input, output);
-  return c.fifo.empty() ? nullptr : &c.fifo.front();
+  return c.count == 0 ? nullptr : &node(c.head).packet;
 }
 
 std::int64_t VoqBank::bytes(net::PortId input, net::PortId output) const {
@@ -92,12 +116,12 @@ std::int64_t VoqBank::bytes(net::PortId input, net::PortId output) const {
 
 std::size_t VoqBank::packets(net::PortId input, net::PortId output) const {
   check_ports(input, output);
-  return cell(input, output).fifo.size();
+  return cell(input, output).count;
 }
 
 bool VoqBank::empty(net::PortId input, net::PortId output) const {
   check_ports(input, output);
-  return cell(input, output).fifo.empty();
+  return cell(input, output).count == 0;
 }
 
 std::int64_t VoqBank::input_bytes(net::PortId input) const {

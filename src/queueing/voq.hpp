@@ -6,12 +6,23 @@
 // records *peak* occupancy, which is the quantity Figure 1 of the paper is
 // about: the peak decides whether buffers fit in a ToR switch (kilobytes,
 // fast scheduling) or must live in the hosts (gigabytes, slow scheduling).
+//
+// Storage is one node pool per bank, not a container per VOQ: a 128-port
+// bank has 16,384 VOQs, nearly all short or empty, and every packet passes
+// through one.  Nodes hold a packet and the index of the next node in its
+// VOQ; they live in fixed-size chunks that are never reallocated, so a
+// `peek()` pointer stays valid until that packet is dequeued and growing
+// the pool copies nothing.  Dequeued nodes go on a LIFO free list and are
+// reused first.  A VOQ is then just {head, tail, count, bytes}: building a
+// bank allocates its cell array and nothing per VOQ, the pool grows only to
+// the bank's peak occupancy, and steady-state enqueue/dequeue allocates
+// nothing.
 #ifndef XDRS_QUEUEING_VOQ_HPP
 #define XDRS_QUEUEING_VOQ_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -61,7 +72,8 @@ class VoqBank {
   /// Removes the head-of-line packet of VOQ(input, output), if any.
   std::optional<net::Packet> dequeue(net::PortId input, net::PortId output);
 
-  /// Head-of-line packet without removal.
+  /// Head-of-line packet without removal; the pointer stays valid until
+  /// that packet is dequeued, whatever else the bank admits meanwhile.
   [[nodiscard]] const net::Packet* peek(net::PortId input, net::PortId output) const;
 
   [[nodiscard]] std::int64_t bytes(net::PortId input, net::PortId output) const;
@@ -87,8 +99,19 @@ class VoqBank {
   void reset_peaks() noexcept;
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::uint32_t kChunkNodes = 256;
+
+  struct Node {
+    net::Packet packet;
+    /// Next node of the same VOQ (unset on its tail, which is never
+    /// followed), or of the free list.
+    std::uint32_t next{kNil};
+  };
   struct Cell {
-    std::deque<net::Packet> fifo;
+    std::uint32_t head{kNil};
+    std::uint32_t tail{kNil};
+    std::uint32_t count{0};
     std::int64_t bytes{0};
   };
 
@@ -96,12 +119,25 @@ class VoqBank {
   [[nodiscard]] const Cell& cell(net::PortId input, net::PortId output) const;
   void check_ports(net::PortId input, net::PortId output) const;
 
+  [[nodiscard]] Node& node(std::uint32_t i) noexcept {
+    return chunks_[i / kChunkNodes][i % kChunkNodes];
+  }
+  [[nodiscard]] const Node& node(std::uint32_t i) const noexcept {
+    return chunks_[i / kChunkNodes][i % kChunkNodes];
+  }
+  /// A free node: the free list's head, else a fresh one (adding a chunk
+  /// when the last is full).
+  std::uint32_t acquire_node();
+
   std::uint32_t inputs_;
   std::uint32_t outputs_;
   VoqLimits limits_;
-  std::vector<Cell> cells_;                 // row-major [input][output]
-  std::vector<std::int64_t> input_bytes_;   // per-input occupancy
-  std::vector<std::int64_t> input_peaks_;   // per-input high-water mark
+  std::vector<Cell> cells_;                      // row-major [input][output]
+  std::vector<std::unique_ptr<Node[]>> chunks_;  // the node pool
+  std::uint32_t nodes_{0};                       // nodes handed out so far
+  std::uint32_t free_head_{kNil};
+  std::vector<std::int64_t> input_bytes_;        // per-input occupancy
+  std::vector<std::int64_t> input_peaks_;        // per-input high-water mark
   std::int64_t total_bytes_{0};
   std::int64_t total_packets_{0};
   VoqBankStats stats_;

@@ -5,15 +5,34 @@
 // deterministic, which the reproducibility of every experiment in this
 // repository relies on.
 //
-// Scheduling and firing an event allocate nothing in steady state:
-//   - a callback is stored in a sim::Callback, whose 128-byte inline buffer
-//     holds the framework's largest hot capture (`this`, a net::Packet and a
-//     port).  Larger captures, or ones that may throw on move, allocate;
+// Every simulated packet passes through here several times, so the layout
+// is chosen for the cache as much as for allocation:
+//   - a callback is stored in a sim::Callback: an ops pointer followed by a
+//     120-byte inline buffer, 128 bytes in all.  The buffer holds the
+//     framework's largest hot capture (`this`, a 96-byte net::Packet and a
+//     port); a small capture shares the ops pointer's cache line.  Larger
+//     captures, or ones that may throw on move, allocate;
 //   - callbacks are constructed straight into a slab of fixed-size chunks
 //     that is never reallocated; freed slots are reused, so the slab only
-//     grows to the peak pending depth;
-//   - a binary heap orders 24-byte {time, seq, slot} entries, never
-//     callbacks.
+//     grows to the peak pending depth.  Each chunk keeps its slots' seq
+//     words in a dense array apart from the line-aligned callbacks, so
+//     cancelling and skipping a cancelled entry read 8 bytes, not a
+//     callback's cache line;
+//   - a 4-ary heap orders 16-byte {time, seq << 24 | slot} entries, never
+//     callbacks.  The array is offset so that the four children of a node
+//     fill one 64-byte line, and a pop prefetches the four lines one level
+//     below the children it compares.  Since seqs are unique, comparing
+//     (time, key) orders exactly as (time, seq).
+//
+// Limits, from the key's layout: at most 2^24 events pending at once, and at
+// most 2^40 - 1 pushes over a queue's lifetime.  Exceeding either throws
+// std::length_error.
+//
+// Firing is in place: `fire_next` takes the head out of the heap and calls
+// its callback inside the slot it was constructed in, then frees the slot.
+// While the callback runs its slot matches no EventId (so cancelling the
+// running event returns false), is not counted by `size()` and is not on
+// the free list; it is freed when the callback returns or throws.
 //
 // Cancellation is generation-checked: an EventId names its slot and the
 // sequence number the slot must still hold, so `cancel` is an O(1) compare.
@@ -41,7 +60,7 @@ namespace xdrs::sim {
 /// ones are moved to the heap.
 class Callback {
  public:
-  static constexpr std::size_t kInlineBytes = 128;
+  static constexpr std::size_t kInlineBytes = 120;
 
   Callback() noexcept = default;
 
@@ -145,8 +164,10 @@ class Callback {
     other.ops_ = nullptr;
   }
 
-  alignas(void*) unsigned char buf_[kInlineBytes];
+  // The ops pointer leads, so on a line-aligned Callback it shares a cache
+  // line with the first 56 bytes of the capture.
   const Ops* ops_{nullptr};
+  alignas(void*) unsigned char buf_[kInlineBytes];
 };
 
 /// Opaque identifier of a scheduled event; usable to cancel it.
@@ -171,7 +192,7 @@ class EventQueue {
     requires std::is_invocable_r_v<void, std::decay_t<F>&>
   EventId push(Time at, F&& f) {
     const std::uint32_t i = acquire_slot();
-    Callback& cb = slot(i).cb;
+    Callback& cb = callback(i);
     try {
       if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
         cb = std::forward<F>(f);
@@ -186,9 +207,10 @@ class EventQueue {
   }
 
   /// Removes an event from the live set.  O(1); its heap entry is dropped
-  /// when it surfaces.  Cancelling an unknown, already-cancelled or
-  /// already-fired id is a harmless no-op, even once its slot holds a newer
-  /// event.  Returns true if the event was still pending.
+  /// when it surfaces.  Cancelling an unknown, already-cancelled,
+  /// already-fired or currently running event is a harmless no-op, even
+  /// once its slot holds a newer event.  Returns true if the event was still
+  /// pending.
   bool cancel(EventId id);
 
   /// True when no live (non-cancelled) events remain.
@@ -198,55 +220,100 @@ class EventQueue {
   /// Timestamp of the earliest live event.  Precondition: !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Removes and returns the earliest live event.  Precondition: !empty().
-  struct Popped {
-    Time at;
-    EventId id;
-    Callback cb;
-  };
-  [[nodiscard]] Popped pop();
+  /// Fires the earliest live event if there is one stamped at or before
+  /// `horizon`: takes it out of the queue, calls `on_fire(at)` with its
+  /// timestamp, then calls the event's callback in place.  The slot is
+  /// freed (and the callable destroyed) when the callback returns or
+  /// throws.  Returns false, doing nothing, when no such event exists.
+  template <class OnFire>
+  bool fire_next(Time horizon, OnFire&& on_fire) {
+    if (heap_size_ == 0 || heap_[0].at > horizon) return false;
+    const Entry top = heap_[0];
+    const std::uint32_t i = slot_of(top.key);
+    take_head(i);
+    const Release release{*this, i};
+    on_fire(top.at);
+    callback(i)();
+    return true;
+  }
 
   /// Total events ever pushed (for engine statistics).
   [[nodiscard]] std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
  private:
-  /// Heap entry.  Live iff its slot still holds `seq`.
+  /// Heap entry.  Live iff its slot's seq word still holds `key >> kSlotBits`.
   struct Entry {
     Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t key;  // seq << kSlotBits | slot
   };
-  // Kept free of padding (the free-list link shares `seq`): at a fat-tree's
-  // peak of ~23 K pending events the slab is the engine's largest memory cost.
-  struct Slot {
-    /// The pending event's seq; kFree | the next free slot when free.
-    std::uint64_t seq{0};
-    Callback cb;
-  };
+  static_assert(sizeof(Entry) == 16);
 
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << (64 - kSlotBits);
   static constexpr std::uint32_t kChunkSlots = 256;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   static constexpr std::uint64_t kFree = std::uint64_t{1} << 63;  // above any seq
+  static constexpr std::uint64_t kRunning = ~std::uint64_t{0};    // matches no EventId
+  /// The root sits at storage index kHeapPad, so the children 4i+1..4i+4 of
+  /// every node i start on a multiple of 4 entries: one 64-byte line.
+  static constexpr std::size_t kHeapPad = 3;
+  static constexpr std::size_t kLineBytes = 64;
 
-  [[nodiscard]] Slot& slot(std::uint32_t i) noexcept {
-    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  struct Chunk {
+    /// Per slot: the pending event's seq, kRunning while its callback runs,
+    /// or kFree | the next free slot.
+    std::uint64_t seq[kChunkSlots];
+    alignas(kLineBytes) Callback cb[kChunkSlots];
+  };
+  static_assert(sizeof(Callback) == 2 * kLineBytes);
+
+  struct AlignedDelete {
+    void operator()(Entry* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{kLineBytes});
+    }
+  };
+
+  /// Frees a fired slot when its callback returns or unwinds.
+  struct Release {
+    EventQueue& q;
+    std::uint32_t slot;
+    ~Release() { q.release_slot(slot); }
+  };
+
+  [[nodiscard]] static std::uint32_t slot_of(std::uint64_t key) noexcept {
+    return static_cast<std::uint32_t>(key & kSlotMask);
   }
-  [[nodiscard]] bool live(const Entry& e) noexcept { return slot(e.slot).seq == e.seq; }
+  [[nodiscard]] std::uint64_t& seq_word(std::uint32_t i) noexcept {
+    return chunks_[i / kChunkSlots]->seq[i % kChunkSlots];
+  }
+  [[nodiscard]] Callback& callback(std::uint32_t i) noexcept {
+    return chunks_[i / kChunkSlots]->cb[i % kChunkSlots];
+  }
+  [[nodiscard]] bool live(const Entry& e) noexcept {
+    return seq_word(slot_of(e.key)) == e.key >> kSlotBits;
+  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t i) noexcept;
   /// Enters the callback stored in slot `i` into the heap; returns its id.
   EventId link(Time at, std::uint32_t i);
+  /// Removes the live head, whose slot is `i`, from the heap and marks its
+  /// slot running; prefetches the next head's callback.
+  void take_head(std::uint32_t i) noexcept;
 
+  void grow_heap();
   void sift_up(std::size_t i, Entry e) noexcept;
   void remove_root() noexcept;
   /// Removes dead entries from the top so the root, if any, is live.
   void drop_dead_head() noexcept;
 
-  // A binary heap: a 4-ary one measured no faster at the framework's pending
-  // depths (about 1 K events on a 128-port switch, 20 K on a fat-tree).
-  std::vector<Entry> heap_;  // invariant: empty, or heap_.front() is live
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::unique_ptr<Entry[], AlignedDelete> heap_storage_;
+  Entry* heap_{nullptr};  // heap_storage_ + kHeapPad; invariant: empty, or heap_[0] is live
+  std::size_t heap_size_{0};
+  std::size_t heap_capacity_{0};  // entries that fit after the padding
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t slots_{0};  // slots handed out so far
   std::uint32_t free_head_{kNoSlot};
   std::size_t live_{0};

@@ -9,14 +9,11 @@ bool Simulator::cancel(EventId id) {
 }
 
 bool Simulator::step(Time horizon) {
-  // The queue keeps its head live, so the peek below is a plain read and
-  // the pop that follows never skips a cancelled entry first.
-  if (stopping_ || queue_.empty() || queue_.next_time() > horizon) return false;
-  auto popped = queue_.pop();
-  now_ = popped.at;
-  ++stats_.events_executed;
-  popped.cb();
-  return true;
+  if (stopping_) return false;
+  return queue_.fire_next(horizon, [this](Time at) {
+    now_ = at;
+    ++stats_.events_executed;
+  });
 }
 
 void Simulator::run_until(Time horizon) {

@@ -8,11 +8,14 @@
 // parameter points (exp::ExperimentRunner, see exp/runner.hpp).
 //
 // Callbacks are move-only sim::Callback values (see event_queue.hpp).  A
-// capture of up to 128 bytes — `this`, a net::Packet and a port fit — is
+// capture of up to 120 bytes — `this`, a net::Packet and a port fit — is
 // stored inline, so scheduling it allocates nothing once the engine has
-// reached its peak pending depth; larger captures allocate.  Cancellation is
-// generation-checked: an EventId whose event already fired or was cancelled
-// never matches a later event that reuses its storage.
+// reached its peak pending depth; larger captures allocate.  Each event's
+// callback runs inside the queue slot it was constructed in; while it runs,
+// `pending_events()` no longer counts it and cancelling its own EventId
+// returns false.  Cancellation is generation-checked: an EventId whose event
+// already fired or was cancelled never matches a later event that reuses its
+// storage.
 #ifndef XDRS_SIM_SIMULATOR_HPP
 #define XDRS_SIM_SIMULATOR_HPP
 
@@ -75,8 +78,8 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
  private:
-  /// Fires the earliest pending event if it is stamped at or before
-  /// `horizon` and no stop was requested; returns false otherwise.
+  /// Fires the earliest pending event in place if it is stamped at or
+  /// before `horizon` and no stop was requested; returns false otherwise.
   bool step(Time horizon);
 
   EventQueue queue_;

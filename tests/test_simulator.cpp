@@ -1,5 +1,6 @@
 // Tests for the event queue and the discrete-event engine: ordering,
-// determinism, cancellation, callback lifetimes and horizon semantics.
+// determinism, cancellation, callback lifetimes, in-place firing and horizon
+// semantics.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,13 +21,19 @@ namespace {
 
 using namespace xdrs::sim::literals;
 
-TEST(EventQueue, PopsInTimeOrder) {
+/// Fires the earliest event regardless of its time; false when none is left.
+bool fire(EventQueue& q) {
+  return q.fire_next(Time::max(), [](Time) {});
+}
+
+TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   (void)q.push(3_us, [&] { order.push_back(3); });
   (void)q.push(1_us, [&] { order.push_back(1); });
   (void)q.push(2_us, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().cb();
+  while (fire(q)) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -36,7 +43,8 @@ TEST(EventQueue, SameTimestampIsFifo) {
   for (int i = 0; i < 10; ++i) {
     (void)q.push(5_us, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().cb();
+  while (fire(q)) {
+  }
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -58,7 +66,7 @@ TEST(EventQueue, CancelUnknownIdIsNoop) {
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
   const EventId id = q.push(1_us, [] {});
-  (void)q.pop();
+  ASSERT_TRUE(fire(q));
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -69,7 +77,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   (void)q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  (void)q.pop();
+  ASSERT_TRUE(fire(q));
   EXPECT_TRUE(q.empty());
 }
 
@@ -81,10 +89,28 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_EQ(q.next_time(), 7_us);
 }
 
-TEST(EventQueue, PopOnEmptyThrows) {
+TEST(EventQueue, FireOnEmptyReturnsFalse) {
   EventQueue q;
-  EXPECT_THROW((void)q.pop(), std::logic_error);
+  bool hook_called = false;
+  EXPECT_FALSE(q.fire_next(Time::max(), [&](Time) { hook_called = true; }));
+  EXPECT_FALSE(hook_called);
   EXPECT_THROW((void)q.next_time(), std::logic_error);
+}
+
+TEST(EventQueue, FireNextHonoursHorizon) {
+  EventQueue q;
+  bool fired = false;
+  (void)q.push(5_us, [&] { fired = true; });
+  EXPECT_FALSE(q.fire_next(4_us, [](Time) {}));
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(q.size(), 1u);
+  Time seen{};
+  EXPECT_TRUE(q.fire_next(5_us, [&](Time at) {
+    seen = at;
+    EXPECT_FALSE(fired);  // the hook runs before the callback
+  }));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(seen, 5_us);
 }
 
 TEST(EventQueue, StaleIdNeverCancelsTheSlotsNextEvent) {
@@ -96,23 +122,24 @@ TEST(EventQueue, StaleIdNeverCancelsTheSlotsNextEvent) {
   ASSERT_EQ(reuser.slot, cancelled.slot);  // the freed slot was reused
   EXPECT_FALSE(q.cancel(cancelled));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().cb();
+  ASSERT_TRUE(fire(q));
   EXPECT_TRUE(fired);
 
   // Same for an id whose event already fired.
   const EventId done = q.push(3_us, [] {});
-  q.pop().cb();
+  ASSERT_TRUE(fire(q));
   bool fired_again = false;
   const EventId next = q.push(4_us, [&] { fired_again = true; });
   ASSERT_EQ(next.slot, done.slot);
   EXPECT_FALSE(q.cancel(done));
-  q.pop().cb();
+  ASSERT_TRUE(fire(q));
   EXPECT_TRUE(fired_again);
 }
 
-// Randomized interleavings of push/cancel/pop checked against a reference
+// Randomized interleavings of push/cancel/fire checked against a reference
 // model: the set of pending (time, seq) keys, whose first element is the next
-// event to fire.  Times are drawn from a few values so ties are common.
+// event to fire.  Times are drawn from a few values so ties are common.  Each
+// callback records its seq, so the firing order is checked by id.
 TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     std::mt19937_64 rng{seed};
@@ -154,13 +181,16 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
           pending_at.erase(it);
         }
       } else if (model.empty()) {
-        EXPECT_THROW((void)q.pop(), std::logic_error);
+        ASSERT_FALSE(fire(q));
       } else {
         const auto [at, seq] = *model.begin();
-        auto popped = q.pop();
-        ASSERT_EQ(popped.at, at);
-        ASSERT_EQ(popped.id.seq, seq);
-        popped.cb();
+        // A horizon just short of the head fires nothing.
+        ASSERT_FALSE(q.fire_next(at - Time::picoseconds(1), [](Time) {}));
+        Time fired_at = Time::max();
+        const std::size_t fired_before = fired.size();
+        ASSERT_TRUE(q.fire_next(at, [&](Time t) { fired_at = t; }));
+        ASSERT_EQ(fired_at, at);
+        ASSERT_EQ(fired.size(), fired_before + 1);
         ASSERT_EQ(fired.back(), seq);
         model.erase(model.begin());
         pending_at.erase(seq);
@@ -177,11 +207,36 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
     }
     // Drain: the rest fires in (time, seq) order.
     while (!model.empty()) {
-      ASSERT_EQ(q.pop().id.seq, model.begin()->second);
+      ASSERT_TRUE(fire(q));
+      ASSERT_EQ(fired.back(), model.begin()->second);
       model.erase(model.begin());
+      ASSERT_EQ(q.size(), model.size());
     }
     EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(fire(q));
   }
+}
+
+TEST(EventQueue, RunningCallbackCannotCancelItself) {
+  EventQueue q;
+  EventId self{};
+  bool cancelled = true;
+  self = q.push(1_us, [&] { cancelled = q.cancel(self); });
+  ASSERT_TRUE(fire(q));
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RunningSlotIsNotReusedUntilItReturns) {
+  EventQueue q;
+  EventId self{};
+  EventId inner{};
+  self = q.push(1_us, [&] { inner = q.push(2_us, [] {}); });
+  ASSERT_TRUE(fire(q));
+  EXPECT_NE(inner.slot, self.slot);
+  // Once it has returned, the slot is the first to be reused.
+  const EventId next = q.push(3_us, [] {});
+  EXPECT_EQ(next.slot, self.slot);
 }
 
 TEST(Callback, MoveLeavesSourceEmpty) {
@@ -195,7 +250,7 @@ TEST(Callback, MoveLeavesSourceEmpty) {
 }
 
 // A captured shared_ptr's count must drop back to 1 once the queue lets go of
-// the callback: after pop, after cancel and when a non-empty queue dies.
+// the callback: after firing, after cancel and when a non-empty queue dies.
 template <class MakeCallback>
 void expect_capture_released(MakeCallback make) {
   const auto token = std::make_shared<int>(0);
@@ -203,12 +258,9 @@ void expect_capture_released(MakeCallback make) {
     EventQueue q;
     (void)q.push(1_us, make(token));
     EXPECT_EQ(token.use_count(), 2);
-    {
-      auto popped = q.pop();
-      popped.cb();
-      EXPECT_EQ(*token, 1);
-    }
-    EXPECT_EQ(token.use_count(), 1) << "after pop";
+    ASSERT_TRUE(fire(q));
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1) << "after firing";
   }
   {
     EventQueue q;
@@ -404,6 +456,80 @@ TEST(Simulator, DeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Simulator, CallbackCancellingItsOwnIdGetsFalse) {
+  Simulator sim;
+  EventId self{};
+  bool cancelled = true;
+  self = sim.schedule(1_us, [&] { cancelled = sim.cancel(self); });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.stats().events_cancelled, 0u);
+  EXPECT_EQ(sim.stats().events_executed, 1u);
+}
+
+TEST(Simulator, PendingEventsExcludesTheRunningCallback) {
+  Simulator sim;
+  std::vector<std::size_t> seen;
+  sim.schedule(1_us, [&] {
+    seen.push_back(sim.pending_events());
+    sim.schedule(1_us, [&] { seen.push_back(sim.pending_events()); });
+    seen.push_back(sim.pending_events());
+  });
+  sim.schedule(5_us, [&] { seen.push_back(sim.pending_events()); });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 1, 0}));
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsCapturesAndLeavesQueueUsable) {
+  const auto token = std::make_shared<int>(0);
+  Simulator sim;
+  sim.schedule(1_us, [token] {
+    ++*token;
+    throw std::runtime_error{"callback failed"};
+  });
+  int later = 0;
+  sim.schedule(2_us, [&later] { ++later; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.now(), 1_us);
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  // The queue still schedules, cancels and fires in order.
+  const EventId dropped = sim.schedule(1_us, [&later] { later += 100; });
+  sim.schedule(3_us, [&later] { later *= 10; });
+  EXPECT_TRUE(sim.cancel(dropped));
+  sim.run();
+  EXPECT_EQ(later, 10);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.stats().events_executed, 3u);
+}
+
+TEST(Simulator, CallbackCanGrowTheSlabWhileItRuns) {
+  // The running callback's slot must stay put while the events it schedules
+  // add slab chunks: its captures are read after every schedule.
+  Simulator sim;
+  constexpr int kScheduled = 2000;  // several chunks' worth of slots
+  std::array<std::uint64_t, 8> pattern{};
+  for (std::size_t k = 0; k < pattern.size(); ++k) pattern[k] = 0x9e3779b97f4a7c15ULL * (k + 1);
+  int fired = 0;
+  bool intact = true;
+  sim.schedule(1_us, [&sim, &fired, &intact, pattern] {
+    for (int i = 0; i < kScheduled; ++i) {
+      sim.schedule(Time::nanoseconds(i + 1), [&fired] { ++fired; });
+      for (std::size_t k = 0; k < pattern.size(); ++k) {
+        intact = intact && pattern[k] == 0x9e3779b97f4a7c15ULL * (k + 1);
+      }
+    }
+    EXPECT_EQ(sim.pending_events(), static_cast<std::size_t>(kScheduled));
+  });
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(fired, kScheduled);
+  EXPECT_EQ(sim.stats().events_executed, static_cast<std::uint64_t>(kScheduled) + 1);
 }
 
 }  // namespace
