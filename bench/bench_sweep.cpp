@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  exp::SweepOptions so;
+  exp::ExecutionPlan so;
   so.threads = opt.threads;
   if (opt.progress) {
     so.progress = [](std::size_t done, std::size_t total, const exp::ScenarioSpec& s) {

@@ -58,8 +58,6 @@ void RunReport::merge(const RunReport& other) {
 
   intra_rack_bytes += other.intra_rack_bytes;
   cross_rack_bytes += other.cross_rack_bytes;
-  peak_uplink_queue_bytes = std::max(peak_uplink_queue_bytes, other.peak_uplink_queue_bytes);
-  uplink_drops += other.uplink_drops;
   core_link_bytes += other.core_link_bytes;
   core_drops += other.core_drops;
   peak_core_queue_bytes = std::max(peak_core_queue_bytes, other.peak_core_queue_bytes);
@@ -133,8 +131,6 @@ std::vector<stats::Field> RunReport::fields() const {
   f.push_back(Field::u64("fct_cross_rack_count", fct_cross_rack.count()));
   f.push_back(Field::f64("fct_cross_rack_mean_ps", fct_cross_rack.mean()));
   f.push_back(Field::i64("fct_cross_rack_p99_ps", fct_cross_rack.p99()));
-  f.push_back(Field::i64("peak_uplink_queue_bytes", peak_uplink_queue_bytes));
-  f.push_back(Field::u64("uplink_drops", uplink_drops));
   f.push_back(Field::i64("core_link_bytes", core_link_bytes));
   f.push_back(Field::u64("core_drops", core_drops));
   f.push_back(Field::i64("peak_core_queue_bytes", peak_core_queue_bytes));

@@ -108,8 +108,10 @@ struct RunReport {
   /// goodput_before_deadline_bytes, per-class FCT histograms); 4 = adds the
   /// per-hop/topology metrics (intra- vs cross-rack delivered bytes and FCT
   /// split, rack uplink-queue peak/drops, core-tier bytes/drops/occupancy/
-  /// utilisation for fat-tree runs).
-  static constexpr std::uint64_t kSchemaVersion = 4;
+  /// utilisation for fat-tree runs); 5 = drops the rack uplink-queue
+  /// peak/drops (peak_uplink_queue_bytes, uplink_drops), which only the
+  /// retired rack-aggregation generator ever set — 0 in every artefact.
+  static constexpr std::uint64_t kSchemaVersion = 5;
 
   sim::Time duration{};
 
@@ -175,11 +177,6 @@ struct RunReport {
   std::int64_t cross_rack_bytes{0};   ///< window-born deliveries that crossed the core
   stats::Histogram fct_intra_rack;    ///< FCT of completed rack-local flows
   stats::Histogram fct_cross_rack;    ///< FCT of completed core-crossing flows
-  /// Rack-aggregation ingress stage (topo::RackAggregator uplink FIFOs):
-  /// worst high-water mark and drops across the run's aggregators; zero
-  /// when no generator models an ingress queue.
-  std::int64_t peak_uplink_queue_bytes{0};
-  std::uint64_t uplink_drops{0};
   /// Core tier (fat-tree core-switch downlink FIFOs), measured window.
   std::int64_t core_link_bytes{0};    ///< bytes forwarded across the core
   std::uint64_t core_drops{0};        ///< core FIFO overflows

@@ -91,12 +91,6 @@ void HybridSwitchFramework::set_policies(const PolicyStack& stack) {
   }
 }
 
-void HybridSwitchFramework::enable_telemetry(const obs::TelemetryConfig& tcfg) {
-  if (ran_) throw std::logic_error{"Framework: enable_telemetry() must precede run()"};
-  telemetry_ = std::make_unique<obs::RunTelemetry>(tcfg);
-  attach_stage_timers(&telemetry_->registry());
-}
-
 void HybridSwitchFramework::attach_stage_timers(obs::Registry* registry) {
   scheduling_.set_stage_timers(registry);
   switching_.set_stage_timers(registry);
@@ -116,15 +110,6 @@ obs::TimelineSnapshot HybridSwitchFramework::timeline_snapshot(sim::Time urgent_
   s.urgent_flows = urgent.flows;
   s.urgent_bytes = urgent.bytes;
   return s;
-}
-
-void HybridSwitchFramework::sample_timeline(sim::Time period, sim::Time horizon) {
-  // "Urgent" = open deadline flows due within one sample period, so the
-  // horizon tracks the timeline's own resolution.
-  telemetry_->timeline().record(sim_.now(), timeline_snapshot(period));
-  const sim::Time next = sim_.now() + period;
-  if (next > horizon) return;
-  sim_.schedule_at(next, [this, period, horizon] { sample_timeline(period, horizon); });
 }
 
 void HybridSwitchFramework::add_generator(std::unique_ptr<traffic::TrafficGenerator> g,
@@ -233,28 +218,9 @@ void HybridSwitchFramework::begin_measurement() {
   base_.ocs_busy = ocs_.stats().busy_time_total;
   base_.decisions = scheduling_.stats().decisions;
   base_.decision_latency_total = scheduling_.stats().decision_latency_total;
-  base_.uplink_drops = 0;
-  for (auto& e : generators_) {
-    e.g->reset_queue_peak();
-    base_.uplink_drops += e.g->queue_drops();
-  }
   // measure_start_ was set by start_run() (== warmup, not now(): the event
   // queue stopped 1 ps short of the boundary).
   measuring_ = true;
-
-  if (telemetry_) {
-    // Resolve the sampling period: explicit, or ~256 samples across the
-    // measured window (never finer than 1 us).  Sampling is read-only and
-    // rides its own event chain, so it cannot perturb the run.
-    sim::Time period = telemetry_->config().sample_period;
-    if (period <= sim::Time::zero()) {
-      period = std::max(duration_ / 256, sim::Time::microseconds(1));
-    }
-    telemetry_->set_resolved_period(period);
-    sim_.schedule_at(measure_start_, [this, period, horizon = horizon_] {
-      sample_timeline(period, horizon);
-    });
-  }
 }
 
 RunReport HybridSwitchFramework::finalize_run() {
@@ -291,17 +257,6 @@ RunReport HybridSwitchFramework::finalize_run() {
         (scheduling_.stats().decision_latency_total - base_.decision_latency_total) /
         static_cast<std::int64_t>(decisions);
   }
-
-  // Ingress-queue stage (rack-aggregation uplinks): worst high-water mark
-  // and measured-window drops across this switch's generators.  Zero for
-  // plain per-port sources.
-  std::uint64_t generator_drops = 0;
-  for (const auto& e : generators_) {
-    report_.peak_uplink_queue_bytes =
-        std::max(report_.peak_uplink_queue_bytes, e.g->peak_queue_bytes());
-    generator_drops += e.g->queue_drops();
-  }
-  report_.uplink_drops = generator_drops - base_.uplink_drops;
 
   for (const auto& [flow, jit] : flow_jitter_) {
     if (jit.samples() >= 8) report_.jitter_us.record(jit.jitter().us());

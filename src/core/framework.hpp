@@ -28,7 +28,8 @@
 #include "core/scheduling_logic.hpp"
 #include "core/switching_logic.hpp"
 #include "net/classifier.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "switching/eps.hpp"
@@ -101,19 +102,6 @@ class HybridSwitchFramework {
   using UplinkHook = std::function<void(const net::Packet&, control::FabricPath)>;
   void set_uplink_hook(net::PortId first_uplink, UplinkHook hook);
 
-  // ---- telemetry ----------------------------------------------------------
-  /// Switches on the observability layer for this run: stage timers attach
-  /// to the scheduling/switching logic and run() drives a periodic timeline
-  /// sampler over the measured window.  Telemetry is sidecar-only — it
-  /// never enters RunReport or perturbs the event sequence, so results are
-  /// byte-identical with it on or off (CI-gated).  Call before run().
-  void enable_telemetry(const obs::TelemetryConfig& tcfg = {});
-
-  /// The run's telemetry bundle; nullptr unless enable_telemetry() was
-  /// called.
-  [[nodiscard]] obs::RunTelemetry* telemetry() noexcept { return telemetry_.get(); }
-  [[nodiscard]] const obs::RunTelemetry* telemetry() const noexcept { return telemetry_.get(); }
-
   // ---- execution ----------------------------------------------------------
   /// Runs warmup (unmeasured) then `duration` (measured); returns the
   /// measured-window report.  One-shot: a framework instance runs once.
@@ -141,13 +129,12 @@ class HybridSwitchFramework {
   /// The run horizon (warmup + duration); valid after start_run().
   [[nodiscard]] sim::Time horizon() const noexcept { return horizon_; }
 
-  /// One timeline-sampler tick's worth of switch state (telemetry); urgent
-  /// backlog looks `urgent_horizon` ahead.  Read-only.
+  // ---- telemetry (driven by topo::FatTree, which owns the bundle) ----------
+  /// One timeline-sampler tick's worth of switch state; urgent backlog
+  /// looks `urgent_horizon` ahead.  Read-only.
   [[nodiscard]] obs::TimelineSnapshot timeline_snapshot(sim::Time urgent_horizon) const;
 
-  /// Attaches the scheduling/switching stage timers to `registry` without
-  /// creating a framework-owned telemetry bundle (fat-tree mode: the
-  /// topology owns one registry for all tiers).
+  /// Attaches the scheduling/switching stage timers to `registry`.
   void attach_stage_timers(obs::Registry* registry);
 
   // ---- component access (tests, benches, examples) ------------------------
@@ -167,9 +154,6 @@ class HybridSwitchFramework {
 
   void wire();
   void on_deliver(const net::Packet& p, control::FabricPath via);
-  /// One telemetry tick: snapshot switch state (read-only), fold it into
-  /// the sampler, reschedule until `horizon`.
-  void sample_timeline(sim::Time period, sim::Time horizon);
 
   FrameworkConfig cfg_;
   /// Owned in single-switch mode, null when sharing a topology simulator;
@@ -189,7 +173,6 @@ class HybridSwitchFramework {
     IngressTransform transform;  ///< empty on the single-switch path
   };
   std::vector<AttachedGenerator> generators_;
-  std::unique_ptr<obs::RunTelemetry> telemetry_;
 
   // Multi-rack forwarding (unset in single-switch runs).
   net::PortId first_uplink_{0};
@@ -217,7 +200,6 @@ class HybridSwitchFramework {
     sim::Time ocs_busy{};
     std::uint64_t decisions{0};
     sim::Time decision_latency_total{};
-    std::uint64_t uplink_drops{0};
   } base_;
 };
 

@@ -120,8 +120,6 @@ RunReport report_from_state(const JsonValue& state) {
   r.goodput_before_deadline_bytes = state.at("goodput_before_deadline_bytes").as_i64();
   r.intra_rack_bytes = state.at("intra_rack_bytes").as_i64();
   r.cross_rack_bytes = state.at("cross_rack_bytes").as_i64();
-  r.peak_uplink_queue_bytes = state.at("peak_uplink_queue_bytes").as_i64();
-  r.uplink_drops = state.at("uplink_drops").as_u64();
   r.core_link_bytes = state.at("core_link_bytes").as_i64();
   r.core_drops = state.at("core_drops").as_u64();
   r.peak_core_queue_bytes = state.at("peak_core_queue_bytes").as_i64();

@@ -33,24 +33,12 @@ constexpr std::uint64_t kShardSchema = 1;
 /// artefacts cannot tell the difference (CI-gated).  The sidecar write is
 /// best-effort, like cache stores: a full disk never aborts a sweep.
 core::RunReport run_with_telemetry(const ScenarioSpec& spec, const std::string& dir) {
-  core::RunReport report;
-  std::string doc;
-  if (spec.topology.multi_rack()) {
-    // Fat-tree points carry one topology-owned bundle: a shared registry
-    // every ToR's stage timers attach to, plus the per-tier tracks.
-    std::unique_ptr<topo::FatTree> ft = materialize_fat_tree(spec);
-    ft->enable_telemetry();
-    report = ft->run(spec.duration, spec.warmup);
-    doc = obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), spec_hash_hex(spec),
-                                      spec.scenario);
-  } else {
-    std::unique_ptr<core::HybridSwitchFramework> fw = materialize(spec);
-    fw->enable_telemetry();
-    report = fw->run(spec.duration, spec.warmup);
-    doc = obs::telemetry_sidecar_json(*fw->telemetry(), spec.key(), spec_hash_hex(spec),
-                                      spec.scenario);
-  }
+  std::unique_ptr<topo::FatTree> ft = materialize(spec);
+  ft->enable_telemetry();
+  const core::RunReport report = ft->run(spec.duration, spec.warmup);
   const std::string hash = spec_hash_hex(spec);
+  const std::string doc =
+      obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), hash, spec.scenario);
   try {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -65,47 +53,24 @@ core::RunReport run_with_telemetry(const ScenarioSpec& spec, const std::string& 
 // ------------------------------------------------------------- ExecutionPlan
 
 WorkSourceSpec ExecutionPlan::resolved_source() const {
-  const auto check_shard = [](const ShardOptions& s, const char* field) {
-    if (s.count == 0) {
-      throw std::invalid_argument{std::string{"ExecutionPlan: "} + field +
-                                  ".count must be >= 1 (got 0)"};
-    }
-    if (s.index >= s.count) {
-      throw std::invalid_argument{std::string{"ExecutionPlan: "} + field + ".index " +
-                                  std::to_string(s.index) + " not in [0, " +
-                                  std::to_string(s.count) + ")"};
-    }
-  };
-  check_shard(shard, "shard");
-  const bool legacy_shard = shard.index != 0 || shard.count != 1;
-
-  WorkSourceSpec resolved = source;
-  if (resolved.kind == WorkSourceSpec::Kind::kLease) {
-    if (legacy_shard) {
-      throw std::invalid_argument{
-          "ExecutionPlan: shard cannot combine with a lease source — elastic workers claim "
-          "points dynamically"};
-    }
-    if (resolved.lease_dir.empty()) {
+  if (source.kind == WorkSourceSpec::Kind::kLease) {
+    if (source.lease_dir.empty()) {
       throw std::invalid_argument{"ExecutionPlan: source.lease_dir must not be empty"};
     }
-    if (!(resolved.lease_ttl_s > 0.0)) {
+    if (!(source.lease_ttl_s > 0.0)) {
       throw std::invalid_argument{"ExecutionPlan: source.lease_ttl_s must be > 0"};
     }
-    return resolved;
+    return source;
   }
-
-  check_shard(resolved.shard, "source.shard");
-  const bool source_shard = resolved.shard.index != 0 || resolved.shard.count != 1;
-  if (legacy_shard && source_shard &&
-      (shard.index != resolved.shard.index || shard.count != resolved.shard.count)) {
-    throw std::invalid_argument{
-        "ExecutionPlan: shard " + std::to_string(shard.index) + "/" +
-        std::to_string(shard.count) + " conflicts with source.shard " +
-        std::to_string(resolved.shard.index) + "/" + std::to_string(resolved.shard.count)};
+  if (source.shard.count == 0) {
+    throw std::invalid_argument{"ExecutionPlan: source.shard.count must be >= 1 (got 0)"};
   }
-  if (legacy_shard) resolved.shard = shard;
-  return resolved;
+  if (source.shard.index >= source.shard.count) {
+    throw std::invalid_argument{"ExecutionPlan: source.shard.index " +
+                                std::to_string(source.shard.index) + " not in [0, " +
+                                std::to_string(source.shard.count) + ")"};
+  }
+  return source;
 }
 
 // --------------------------------------------------------------- SweepResult
@@ -170,17 +135,12 @@ std::string SweepResult::to_shard_json() const {
   // lease compaction produce.  Anything else is corrupted metadata.
   for (std::size_t j = 0; j < points.size(); ++j) {
     if (points[j].index >= grid_size || (j > 0 && points[j].index <= points[j - 1].index)) {
-      throw std::invalid_argument{"to_shard_json: result does not match its shard/grid metadata"};
+      throw std::invalid_argument{"to_shard_json: result does not match its grid metadata"};
     }
-  }
-  if (shard.count == 0) {
-    throw std::invalid_argument{"to_shard_json: result does not match its shard/grid metadata"};
   }
   std::string out{"{\n  \"sweep_schema\": "};
   out += std::to_string(kShardSchema);
   out += ",\n  \"schema_version\": " + std::to_string(core::RunReport::kSchemaVersion);
-  out += ",\n  \"shard_index\": " + std::to_string(shard.index);
-  out += ",\n  \"shard_count\": " + std::to_string(shard.count);
   out += ",\n  \"grid_size\": " + std::to_string(grid_size);
   out += ",\n  \"points\": [\n";
   for (std::size_t j = 0; j < points.size(); ++j) {
@@ -310,8 +270,6 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
   const WorkSourceSpec source_spec = plan_.resolved_source();
 
   SweepResult result;
-  result.shard =
-      source_spec.kind == WorkSourceSpec::Kind::kStatic ? source_spec.shard : ShardOptions{};
   result.grid_size = grid.size();
   if (grid.empty()) return result;
 

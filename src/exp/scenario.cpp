@@ -378,25 +378,13 @@ std::string ScenarioSpec::identity_json() const {
 
 // ------------------------------------------------------------- materialize
 
-std::unique_ptr<core::HybridSwitchFramework> materialize(const ScenarioSpec& spec) {
-  auto fw = std::make_unique<core::HybridSwitchFramework>(spec.config);
-  // The whole stack comes from the PolicyRegistry; scenario code needs no
-  // by-name construction of its own, and user-registered policies are
-  // immediately sweepable.
-  fw->set_policies(spec.policies);
-
-  for (const auto& w : spec.workloads) topo::attach_workload(*fw, w);
-  if (spec.voip_pairs > 0) {
-    topo::attach_voip(*fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
-                      spec.config.seed + 99);
-  }
-  return fw;
-}
-
-std::unique_ptr<topo::FatTree> materialize_fat_tree(const ScenarioSpec& spec) {
+std::unique_ptr<topo::FatTree> materialize(const ScenarioSpec& spec) {
   auto ft = std::make_unique<topo::FatTree>(spec.topology, spec.config);
   for (std::uint32_t r = 0; r < ft->racks(); ++r) {
     auto& fw = ft->rack(r);
+    // The whole stack comes from the PolicyRegistry; scenario code needs no
+    // by-name construction of its own, and user-registered policies are
+    // immediately sweepable.
     fw.set_policies(spec.policies);
     for (const auto& w : spec.workloads) {
       // Offset the workload seed per rack so racks never emit correlated
@@ -417,9 +405,6 @@ std::unique_ptr<topo::FatTree> materialize_fat_tree(const ScenarioSpec& spec) {
 }
 
 core::RunReport run_scenario(const ScenarioSpec& spec) {
-  if (spec.topology.multi_rack()) {
-    return materialize_fat_tree(spec)->run(spec.duration, spec.warmup);
-  }
   return materialize(spec)->run(spec.duration, spec.warmup);
 }
 

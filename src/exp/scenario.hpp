@@ -5,7 +5,8 @@
 // optional VOIP overlay), the policy stack (core::PolicyStack — every
 // component chosen by PolicyRegistry spec string), the seed and the
 // measurement window.  materialize() turns a spec into a ready-to-run
-// HybridSwitchFramework; run_scenario() runs it to a RunReport.
+// topo::FatTree (a single switch is a 1-rack tree); run_scenario() runs it
+// to a RunReport.
 //
 // The scenario registry maps workload names ("uniform", "permutation",
 // "incast", "shuffle", "hotspot", "voip", ...) to base specs, so benches,
@@ -35,9 +36,9 @@ struct ScenarioSpec {
 
   core::FrameworkConfig config{};
   /// Topology the point runs on.  Default (1 rack) is the single switch
-  /// every pre-topology scenario ran: run_scenario() then takes the legacy
-  /// path byte-for-byte.  Multi-rack specs build a topo::FatTree whose ToRs
-  /// each get `config.ports` HOST ports plus derived uplinks.
+  /// every pre-topology scenario ran: a 1-rack topo::FatTree with no
+  /// uplinks and no core tier.  Multi-rack specs give each ToR
+  /// `config.ports` HOST ports plus derived uplinks.
   topo::TopologySpec topology{};
   std::vector<topo::WorkloadSpec> workloads;
 
@@ -47,7 +48,7 @@ struct ScenarioSpec {
   std::int64_t voip_packet_bytes{200};
 
   /// Policy stack, selected by PolicyRegistry spec strings; constructed by
-  /// materialize() through HybridSwitchFramework::set_policies.
+  /// materialize() through HybridSwitchFramework::set_policies on every rack.
   core::PolicyStack policies;
 
   sim::Time duration{sim::Time::milliseconds(10)};
@@ -136,21 +137,22 @@ struct ScenarioSpec {
 [[nodiscard]] double effective_workload_load(const topo::WorkloadSpec& w,
                                              const core::FrameworkConfig& cfg) noexcept;
 
-/// Builds the framework a spec describes: configuration, policy stack and
-/// workloads, ready for run().  Throws std::invalid_argument on unknown
-/// policy or scenario names.  Single-switch view: multi-rack specs go
-/// through materialize_fat_tree() instead.
-[[nodiscard]] std::unique_ptr<core::HybridSwitchFramework> materialize(const ScenarioSpec& spec);
+/// Builds the topology a spec describes, ready for run(): per-rack
+/// frameworks with the spec's policies, workloads behind the placement
+/// transform (each workload's own `locality`), and rack-local VOIP
+/// overlays.  A 1-rack spec builds one framework with no uplinks, no
+/// transforms and no core tier — the single switch.  Throws
+/// std::invalid_argument on unknown policy or scenario names.
+[[nodiscard]] std::unique_ptr<topo::FatTree> materialize(const ScenarioSpec& spec);
 
-/// Builds the fat-tree a multi-rack spec describes: per-rack frameworks
-/// with the spec's policies, workloads behind the placement transform
-/// (each workload's own `locality`), and rack-local VOIP overlays.  Valid
-/// for any rack count — a 1-rack tree reproduces materialize()'s run
-/// byte-identically through the shared phased path.
-[[nodiscard]] std::unique_ptr<topo::FatTree> materialize_fat_tree(const ScenarioSpec& spec);
+/// Forwarder kept only for the benchmark harness under perfbench/, which
+/// still calls it; everything else calls materialize().
+[[nodiscard]] inline std::unique_ptr<topo::FatTree> materialize_fat_tree(
+    const ScenarioSpec& spec) {
+  return materialize(spec);
+}
 
-/// materialize() + run(): the whole experiment point, one call.  Routes
-/// multi-rack specs through materialize_fat_tree() automatically.
+/// materialize() + run(): the whole experiment point, one call.
 [[nodiscard]] core::RunReport run_scenario(const ScenarioSpec& spec);
 
 // ---------------------------------------------------------------- registry

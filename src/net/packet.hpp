@@ -86,7 +86,7 @@ struct Packet {
   std::int64_t flow_bytes{0};
 
   // ---- multi-rack routing (topo::FatTree) --------------------------------
-  // All zero/false in single-switch runs, so the legacy path is untouched.
+  // All zero/false in single-switch (1-rack) runs.
   // A cross-rack packet travels source-ToR fabric -> core link -> dest-ToR
   // fabric; `dst` is rewritten per hop (uplink port, then final_dst) while
   // these fields carry the end-to-end route.

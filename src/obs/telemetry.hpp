@@ -1,5 +1,5 @@
 // Per-run telemetry bundle: the metric registry plus the timeline sampler,
-// owned by HybridSwitchFramework and switched on with enable_telemetry().
+// owned by topo::FatTree and switched on with FatTree::enable_telemetry().
 //
 // The hard invariant (CI-gated): telemetry NEVER perturbs results.  It
 // writes sidecar documents only — nothing here feeds RunReport::to_json()
@@ -27,7 +27,7 @@ struct TelemetryConfig {
   std::size_t span_log_capacity{0};
 };
 
-/// The telemetry state of one framework run.
+/// The telemetry state of one run.
 class RunTelemetry {
  public:
   explicit RunTelemetry(const TelemetryConfig& cfg)

@@ -10,7 +10,7 @@
 //                           normalised so the earliest span starts at 0.
 //   pid 3 "tiers"         — optional named counter tracks ("C" events) in
 //                           virtual time: one per tier series (per-ToR VOQ
-//                           depth, core queue depth) of a fat-tree run.
+//                           depth, core queue depth) of a multi-rack run.
 //                           Present only when counter tracks are passed.
 //
 // All tracks are in microseconds.  The virtual and host clocks are
@@ -34,16 +34,13 @@ namespace xdrs::obs {
 /// One named counter track: (track name, virtual-time series).
 using CounterTracks = std::vector<std::pair<std::string, const stats::TimeSeries*>>;
 
-[[nodiscard]] std::string chrome_trace_json(const sim::TraceRecorder& sim_trace,
-                                            const Registry& registry);
-
-/// As above, plus one pid-3 counter track per entry of `counters` — the
-/// per-tier gauge series of a fat-tree run (topo::FatTree::tier_series()).
-/// Null or empty series are skipped; an empty list reproduces the two-track
-/// output byte-for-byte.
+/// The virtual- and host-time tracks, plus one pid-3 counter track per
+/// entry of `counters` — the per-tier gauge series of a multi-rack run
+/// (topo::FatTree::tier_series()).  Null or empty series are skipped, so an
+/// empty list gives the two-track document.
 [[nodiscard]] std::string chrome_trace_json(const sim::TraceRecorder& sim_trace,
                                             const Registry& registry,
-                                            const CounterTracks& counters);
+                                            const CounterTracks& counters = {});
 
 }  // namespace xdrs::obs
 

@@ -48,7 +48,6 @@ void DrainQueue::drain() {
     ++forwarded_packets_;
     forwarded_bytes_ += out.size_bytes;
     if (cfg_.latency.is_zero()) {
-      // Inline delivery keeps the historical rack-uplink event sequence.
       sink_(out);
     } else {
       sim_->schedule(cfg_.latency, [this, out] { sink_(out); });

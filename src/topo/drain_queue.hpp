@@ -1,12 +1,9 @@
 // A rate-limited FIFO link stage: packets queue in bounded buffer space and
 // drain at a fixed rate, optionally followed by a propagation delay.
 //
-// This is the uplink-queue model RackAggregator introduced (host bursts
-// serialising onto a shared ToR uplink), factored out so the fat-tree core
-// tier reuses the exact same stage for its core-switch downlinks instead of
-// growing a parallel abstraction.  Latency zero delivers inline at the end
-// of serialisation (RackAggregator's historical event sequence, preserved
-// byte-for-byte); a positive latency models propagation pipelined behind
+// The fat-tree core tier (topo::FatTree) is built from these: one per core
+// switch downlink into each rack.  Latency zero delivers inline at the end
+// of serialisation; a positive latency models propagation pipelined behind
 // serialisation, as a real link does.
 #ifndef XDRS_TOPO_DRAIN_QUEUE_HPP
 #define XDRS_TOPO_DRAIN_QUEUE_HPP

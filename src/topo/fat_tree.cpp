@@ -130,7 +130,10 @@ void FatTree::enable_telemetry(const obs::TelemetryConfig& tcfg) {
   telemetry_ = std::make_unique<obs::RunTelemetry>(tcfg);
   for (auto& fw : racks_) fw->attach_stage_timers(&telemetry_->registry());
   // One VOQ-occupancy track per ToR plus the core tier's aggregate queue
-  // depth — the per-tier counter tracks `sweepctl trace` renders.
+  // depth — the per-tier counter tracks `sweepctl trace` renders.  A single
+  // switch has no tiers: its tracks would repeat the timeline (ToR) or read
+  // 0 by construction (core).
+  if (!topo_.multi_rack()) return;
   tier_series_.reserve(racks_.size() + 1);
   for (std::uint32_t r = 0; r < racks_.size(); ++r) {
     tier_series_.emplace_back("tor" + std::to_string(r) + ".voq_bytes", tcfg.timeline_capacity);
@@ -153,9 +156,14 @@ std::int64_t FatTree::core_queue_bytes() const noexcept {
 
 void FatTree::sample_tiers(sim::Time period, sim::Time horizon) {
   const sim::Time now = sim_.now();
+  const auto record_tier = [this, now](TierSeries& t, std::int64_t bytes) {
+    t.series.record(now, static_cast<double>(bytes));
+    telemetry_->registry().gauge(t.name).set(static_cast<double>(bytes));
+  };
   obs::TimelineSnapshot agg;
-  obs::Registry& reg = telemetry_->registry();
   for (std::size_t r = 0; r < racks_.size(); ++r) {
+    // "Urgent" = open deadline flows due within one sample period, so the
+    // horizon tracks the timeline's own resolution.
     const obs::TimelineSnapshot s = racks_[r]->timeline_snapshot(period);
     agg.voq_total_bytes += s.voq_total_bytes;
     agg.voq_max_bytes = std::max(agg.voq_max_bytes, s.voq_max_bytes);
@@ -164,12 +172,9 @@ void FatTree::sample_tiers(sim::Time period, sim::Time horizon) {
     agg.eps_delivered_bytes += s.eps_delivered_bytes;
     agg.urgent_flows += s.urgent_flows;
     agg.urgent_bytes += s.urgent_bytes;
-    tier_series_[r].series.record(now, static_cast<double>(s.voq_total_bytes));
-    reg.gauge(tier_series_[r].name).set(static_cast<double>(s.voq_total_bytes));
+    if (!tier_series_.empty()) record_tier(tier_series_[r], s.voq_total_bytes);
   }
-  const std::int64_t core_bytes = core_queue_bytes();
-  tier_series_.back().series.record(now, static_cast<double>(core_bytes));
-  reg.gauge(tier_series_.back().name).set(static_cast<double>(core_bytes));
+  if (!tier_series_.empty()) record_tier(tier_series_.back(), core_queue_bytes());
   telemetry_->timeline().record(now, agg);
   if (now + period <= horizon) {
     sim_.schedule(period, [this, period, horizon] { sample_tiers(period, horizon); });
@@ -194,6 +199,9 @@ core::RunReport FatTree::run(sim::Time duration, sim::Time warmup) {
     base_core_drops_ += q->drops();
   }
   if (telemetry_) {
+    // Resolve the sampling period: explicit, or ~256 samples across the
+    // measured window (never finer than 1 us).  Sampling is read-only and
+    // rides its own event chain, so it cannot perturb the run.
     sim::Time period = telemetry_->config().sample_period;
     if (period <= sim::Time::zero()) {
       period = std::max(duration / 256, sim::Time::microseconds(1));

@@ -12,18 +12,19 @@
 // uplink columns while rack-local traffic never leaves the switch.  The
 // core tier is modelled as one rate-limited FIFO per (core switch u,
 // destination rack r') — the core switch's downlink into that rack — with
-// configurable propagation latency and buffer (topo::DrainQueue, the same
-// stage RackAggregator uses for its host-side uplink).
+// configurable propagation latency and buffer (topo::DrainQueue).
 //
 // Placement is a pure function of (seed, rack, src, dst, flow): every
 // packet of a flow hashes to the same keep-local/go-remote decision, remote
 // rack and uplink, so host->rack assignment is deterministic by
 // construction — identical across thread counts and shard splits (tested).
 //
-// A single-rack FatTree degenerates to exactly one framework with no
+// A single-rack FatTree is the single switch: exactly one framework with no
 // uplinks, no transforms and no core tier, run through the same phased
-// start_run/begin_measurement/finalize_run path run() itself uses — so its
-// report is byte-identical to the plain single-switch run (tested).
+// start_run/begin_measurement/finalize_run path HybridSwitchFramework::run()
+// uses — so its report is byte-identical to a hand-built framework's run
+// (property-tested over every scenario).  exp::materialize() builds every
+// experiment point this way.
 #ifndef XDRS_TOPO_FAT_TREE_HPP
 #define XDRS_TOPO_FAT_TREE_HPP
 
@@ -114,17 +115,21 @@ class FatTree {
   [[nodiscard]] core::HybridSwitchFramework::IngressTransform placement_transform(
       std::uint32_t rack, double locality, std::uint64_t seed) const;
 
-  /// Topology-owned telemetry: one registry for every tier (per-rack stage
-  /// timers attach to it), per-rack VOQ + core-uplink gauges and
-  /// TimeSeries tracks, and an aggregate timeline folded across racks.
-  /// Sidecar-only, like the single-switch layer.  Call before run().
+  /// Switches on the observability layer for this run: one registry for
+  /// every tier (per-rack stage timers attach to it) and a timeline sampler
+  /// folded across racks over the measured window; multi-rack trees add
+  /// per-ToR VOQ and core-queue gauges and TimeSeries tracks.  Telemetry is
+  /// sidecar-only — it never enters RunReport or perturbs the event
+  /// sequence, so results are byte-identical with it on or off (CI-gated).
+  /// Call before run().
   void enable_telemetry(const obs::TelemetryConfig& tcfg = {});
   [[nodiscard]] obs::RunTelemetry* telemetry() noexcept { return telemetry_.get(); }
   [[nodiscard]] const obs::RunTelemetry* telemetry() const noexcept { return telemetry_.get(); }
 
   /// Per-tier counter tracks for Chrome-trace export: one named series per
   /// ToR ("tor<r>.voq_bytes") plus the core tier's aggregate queue depth
-  /// ("core.queue_bytes").  Populated only when telemetry is enabled.
+  /// ("core.queue_bytes").  Populated only when telemetry is enabled on a
+  /// multi-rack tree.
   [[nodiscard]] std::vector<std::pair<std::string, const stats::TimeSeries*>> tier_series() const;
 
   /// Phased execution across every rack on the shared clock; returns the

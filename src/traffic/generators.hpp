@@ -38,17 +38,6 @@ class TrafficGenerator {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] const GeneratorStats& stats() const noexcept { return stats_; }
 
-  // ---- ingress-queue statistics ------------------------------------------
-  // Generators that model a buffering stage in front of the switch (the
-  // rack-aggregation uplink FIFO, topo::RackAggregator) report it through
-  // these; plain per-port sources have no queue and return zeros.  The
-  // framework folds them into RunReport::peak_uplink_queue_bytes /
-  // uplink_drops at finalize.
-  [[nodiscard]] virtual std::int64_t peak_queue_bytes() const noexcept { return 0; }
-  [[nodiscard]] virtual std::uint64_t queue_drops() const noexcept { return 0; }
-  /// Restarts the peak high-water mark (measurement-window boundary).
-  virtual void reset_queue_peak() noexcept {}
-
  protected:
   net::Packet make_packet(net::PortId src, net::PortId dst, std::int64_t bytes, sim::Time now);
 

@@ -44,9 +44,9 @@ TEST(ExperimentRunner, ResultsArriveInGridOrder) {
 
 TEST(ExperimentRunner, OneThreadAndManyThreadsAreBitIdentical) {
   const auto grid = small_grid();
-  SweepOptions one;
+  ExecutionPlan one;
   one.threads = 1;
-  SweepOptions many;
+  ExecutionPlan many;
   many.threads = 4;
   const SweepResult a = ExperimentRunner{one}.run(grid);
   const SweepResult b = ExperimentRunner{many}.run(grid);
@@ -65,7 +65,7 @@ TEST(ExperimentRunner, MergedEqualsFoldOverPoints) {
 
 TEST(ExperimentRunner, ProgressSeesEveryPoint) {
   std::atomic<std::size_t> calls{0};
-  SweepOptions opts;
+  ExecutionPlan opts;
   opts.threads = 2;
   opts.progress = [&calls](std::size_t done, std::size_t total, const ScenarioSpec&) {
     ++calls;

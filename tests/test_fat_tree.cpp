@@ -3,8 +3,11 @@
 // topology exists to model, and sweep-level thread/shard invariance of the
 // multi-rack path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "exp/scenario.hpp"
 #include "sim/time.hpp"
 #include "topo/fat_tree.hpp"
+#include "topo/testbed.hpp"
 
 namespace xdrs {
 namespace {
@@ -95,16 +99,67 @@ TEST(TopologySpecTest, UplinkDerivationFollowsOversubscription) {
 
 // ---- single-rack degeneration ----------------------------------------------
 
+/// The single switch built by hand, the way a library user drives one:
+/// an owning framework, the policy stack, the workloads and the VOIP
+/// overlay, then run().  The reference every 1-rack tree must reproduce.
+core::RunReport hand_built_run(const ScenarioSpec& spec) {
+  core::HybridSwitchFramework fw{spec.config};
+  fw.set_policies(spec.policies);
+  for (const auto& w : spec.workloads) topo::attach_workload(fw, w);
+  if (spec.voip_pairs > 0) {
+    topo::attach_voip(fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
+                      spec.config.seed + 99);
+  }
+  return fw.run(spec.duration, spec.warmup);
+}
+
 TEST(FatTreeRun, SingleRackReproducesTheSingleSwitchRunByteForByte) {
-  const ScenarioSpec spec = make_scenario("uniform", 8, 0.7, 7).with_window(1_ms, 200_us);
-  const core::RunReport plain = exp::run_scenario(spec);
+  // Trace and empirical scenarios read files relative to the repository
+  // root, and tests run from the build tree: point them at small
+  // per-process temp files instead.
+  const auto temp = [](const char* stem) {
+    return (std::filesystem::temp_directory_path() /
+            (std::string{stem} + std::to_string(::getpid()) + ".csv"))
+        .string();
+  };
+  const std::string trace_path = temp("xdrs_fat_tree_trace_");
+  {
+    std::ofstream out{trace_path, std::ios::trunc};
+    out << "start_us,src,dst,bytes,priority\n";
+    for (int i = 0; i < 40; ++i) {
+      out << i * 20 << ',' << i % 4 << ',' << (i + 1 + i % 3) % 4 << ',' << 20'000 + i * 997
+          << ',' << i % 3 << '\n';
+    }
+  }
+  const std::string cdf_path = temp("xdrs_fat_tree_cdf_");
+  {
+    std::ofstream out{cdf_path, std::ios::trunc};
+    out << "bytes,cdf\n2000,0.3\n20000,0.8\n100000,1.0\n";
+  }
 
-  auto ft = exp::materialize_fat_tree(spec);
-  ASSERT_EQ(ft->racks(), 1u);
-  ASSERT_EQ(ft->uplink_ports(), 0u);
-  const core::RunReport tree = ft->run(spec.duration, spec.warmup);
-
-  EXPECT_EQ(core::report_state_json(tree), core::report_state_json(plain));
+  for (const std::string& name : exp::known_scenarios()) {
+    for (const std::uint32_t ports : {4u, 8u}) {
+      for (const sim::Time warmup : {sim::Time::zero(), 200_us}) {
+        ScenarioSpec spec = make_scenario(name, ports, 0.6, 7).with_window(1_ms, warmup);
+        for (auto& w : spec.workloads) {
+          if (w.kind == topo::WorkloadSpec::Kind::kTraceReplay) w.trace_path = trace_path;
+          if (w.kind == topo::WorkloadSpec::Kind::kEmpirical) w.cdf_path = cdf_path;
+          if (w.deadline.kind == traffic::DeadlineSpec::Kind::kCdf) w.deadline.cdf_path = cdf_path;
+        }
+        const std::string point = name + " p" + std::to_string(ports) + " w" +
+                                  std::to_string(warmup.ps());
+        auto ft = exp::materialize(spec);
+        ASSERT_EQ(ft->racks(), 1u) << point;
+        ASSERT_EQ(ft->uplink_ports(), 0u) << point;
+        const core::RunReport tree = ft->run(spec.duration, spec.warmup);
+        const core::RunReport reference = hand_built_run(spec);
+        EXPECT_GT(reference.offered_packets, 0u) << point;
+        EXPECT_EQ(core::report_state_json(tree), core::report_state_json(reference)) << point;
+      }
+    }
+  }
+  std::filesystem::remove(trace_path);
+  std::filesystem::remove(cdf_path);
 }
 
 // ---- multi-rack runs -------------------------------------------------------
@@ -178,9 +233,9 @@ std::vector<ScenarioSpec> small_ft_grid() {
 
 TEST(FatTreeSweep, ThreadCountDoesNotChangeTheBytes) {
   const auto grid = small_ft_grid();
-  exp::SweepOptions one;
+  exp::ExecutionPlan one;
   one.threads = 1;
-  exp::SweepOptions four;
+  exp::ExecutionPlan four;
   four.threads = 4;
   const std::string a = exp::ExperimentRunner{one}.run(grid).to_json();
   const std::string b = exp::ExperimentRunner{four}.run(grid).to_json();
@@ -193,8 +248,8 @@ TEST(FatTreeSweep, TwoShardMergeMatchesTheUnshardedRun) {
 
   std::vector<std::string> shard_jsons;
   for (std::size_t i = 0; i < 2; ++i) {
-    exp::SweepOptions opts;
-    opts.shard = {i, 2};
+    exp::ExecutionPlan opts;
+    opts.source.shard = {i, 2};
     shard_jsons.push_back(exp::ExperimentRunner{opts}.run(grid).to_shard_json());
   }
   const exp::SweepResult merged = exp::SweepResult::merge_shards(grid, shard_jsons);

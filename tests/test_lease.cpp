@@ -134,12 +134,12 @@ TEST(ExecutionPlan, ResolvedSourceNamesTheBadField) {
   };
 
   ExecutionPlan zero_count;
-  zero_count.shard = {0, 0};
-  EXPECT_NE(message_of(zero_count).find("shard.count"), std::string::npos);
+  zero_count.source.shard = {0, 0};
+  EXPECT_NE(message_of(zero_count).find("source.shard.count"), std::string::npos);
 
   ExecutionPlan oob;
-  oob.shard = {2, 2};
-  EXPECT_NE(message_of(oob).find("shard.index"), std::string::npos);
+  oob.source.shard = {2, 2};
+  EXPECT_NE(message_of(oob).find("source.shard.index"), std::string::npos);
 
   ExecutionPlan empty_dir;
   empty_dir.source.kind = WorkSourceSpec::Kind::kLease;
@@ -148,30 +148,6 @@ TEST(ExecutionPlan, ResolvedSourceNamesTheBadField) {
   ExecutionPlan bad_ttl;
   bad_ttl.source = WorkSourceSpec::lease("dir", 0.0);
   EXPECT_NE(message_of(bad_ttl).find("lease_ttl_s"), std::string::npos);
-
-  ExecutionPlan conflict;
-  conflict.shard = {1, 2};
-  conflict.source = WorkSourceSpec::lease("dir");
-  EXPECT_NE(message_of(conflict).find("shard"), std::string::npos);
-
-  ExecutionPlan disagree;
-  disagree.shard = {1, 2};
-  disagree.source = WorkSourceSpec::static_shard({1, 3});
-  EXPECT_NE(message_of(disagree).find("conflicts"), std::string::npos);
-}
-
-TEST(ExecutionPlan, LegacyShardFieldFoldsIntoTheSource) {
-  ExecutionPlan legacy;
-  legacy.shard = {1, 2};  // the pre-ExecutionPlan call-site idiom
-  const WorkSourceSpec resolved = legacy.resolved_source();
-  EXPECT_EQ(resolved.kind, WorkSourceSpec::Kind::kStatic);
-  EXPECT_EQ(resolved.shard.index, 1u);
-  EXPECT_EQ(resolved.shard.count, 2u);
-
-  // Matching shard and source agree quietly.
-  ExecutionPlan both = legacy;
-  both.source = WorkSourceSpec::static_shard({1, 2});
-  EXPECT_EQ(both.resolved_source().shard.count, 2u);
 }
 
 // ---- lease protocol --------------------------------------------------------
@@ -368,12 +344,12 @@ TEST_F(LeaseTest, MergeBackfillsUncoveredPointsFromTheCache) {
 
   ResultCache cache{dir_};
   ExecutionPlan worker1;  // computes half the grid, "dies" before publishing
-  worker1.shard = {0, 2};
+  worker1.source.shard = {0, 2};
   worker1.cache = &cache;
   (void)ExperimentRunner{worker1}.run(grid);  // shard file never written
 
   ExecutionPlan worker2;
-  worker2.shard = {1, 2};
+  worker2.source.shard = {1, 2};
   worker2.cache = &cache;
   const SweepResult half = ExperimentRunner{worker2}.run(grid);
 

@@ -187,7 +187,7 @@ TEST(ChromeTrace, UnclosedPairsSurfaceAsInstants) {
   EXPECT_NO_THROW((void)stats::parse_json(doc));
 }
 
-// ------------------------------------------------- framework end-to-end
+// ------------------------------------------------------ run end-to-end
 
 TEST(Telemetry, NeverPerturbsResults) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.6, 11);
@@ -195,15 +195,15 @@ TEST(Telemetry, NeverPerturbsResults) {
 
   const core::RunReport plain = exp::run_scenario(spec);
 
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
-  fw->enable_telemetry();
-  const core::RunReport instrumented = fw->run(spec.duration, spec.warmup);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize(spec);
+  ft->enable_telemetry();
+  const core::RunReport instrumented = ft->run(spec.duration, spec.warmup);
 
   // The invariant the whole layer hangs on: byte-identical artefacts.
   EXPECT_EQ(plain.to_json(), instrumented.to_json());
 
   // And the instrumented run actually observed things.
-  const obs::RunTelemetry* t = fw->telemetry();
+  const obs::RunTelemetry* t = ft->telemetry();
   ASSERT_NE(t, nullptr);
   EXPECT_GT(t->timeline().samples_offered(), 0u);
   EXPECT_GT(t->resolved_period(), sim::Time::zero());
@@ -218,20 +218,23 @@ TEST(Telemetry, SidecarJsonParsesAndCarriesIdentity) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.5, 7);
   spec.with_window(sim::Time::milliseconds(1), sim::Time::zero());
 
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize(spec);
   obs::TelemetryConfig tc;
   tc.sample_period = 100_us;
-  fw->enable_telemetry(tc);
-  (void)fw->run(spec.duration, spec.warmup);
+  ft->enable_telemetry(tc);
+  (void)ft->run(spec.duration, spec.warmup);
 
   const std::string doc =
-      obs::telemetry_sidecar_json(*fw->telemetry(), spec.key(), "deadbeef", spec.scenario);
+      obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), "deadbeef", spec.scenario);
   const stats::JsonValue v = stats::parse_json(doc);
   EXPECT_EQ(v.at("telemetry_schema").as_u64(), 1u);
   EXPECT_EQ(v.at("key").as_str(), spec.key());
   EXPECT_EQ(v.at("spec_hash").as_str(), "deadbeef");
   EXPECT_EQ(v.at("scenario").as_str(), "uniform");
   EXPECT_DOUBLE_EQ(v.at("timeline").at("sample_period_us").as_f64(), 100.0);
+  // A single switch has no tiers: no per-ToR or core gauges, no tier tracks.
+  EXPECT_TRUE(v.at("gauges").items().empty());
+  EXPECT_TRUE(ft->tier_series().empty());
   // Stage entries carry the full summary.
   bool saw_stage = false;
   for (const stats::JsonValue& stage : v.at("stages").items()) {
@@ -247,9 +250,9 @@ TEST(Telemetry, SidecarJsonParsesAndCarriesIdentity) {
 TEST(Telemetry, EnableAfterRunThrows) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.3, 7);
   spec.with_window(sim::Time::microseconds(200), sim::Time::zero());
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
-  (void)fw->run(spec.duration, spec.warmup);
-  EXPECT_THROW(fw->enable_telemetry(), std::logic_error);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize(spec);
+  (void)ft->run(spec.duration, spec.warmup);
+  EXPECT_THROW(ft->enable_telemetry(), std::logic_error);
 }
 
 }  // namespace

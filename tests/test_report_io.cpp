@@ -52,8 +52,6 @@ RunReport sample_report() {
   r.cross_rack_bytes = 3'000;
   r.fct_intra_rack.record_time(Time::microseconds(40));
   r.fct_cross_rack.record_time(Time::microseconds(90));
-  r.peak_uplink_queue_bytes = 300;
-  r.uplink_drops = 1;
   r.core_link_bytes = 3'000;
   r.core_drops = 2;
   r.peak_core_queue_bytes = 150;
@@ -93,8 +91,6 @@ TEST(RunReportMerge, CountersSumAndPeaksMax) {
   EXPECT_EQ(a.cross_rack_bytes, 6'000);
   EXPECT_EQ(a.fct_intra_rack.count(), 2u);
   EXPECT_EQ(a.fct_cross_rack.count(), 2u);
-  EXPECT_EQ(a.peak_uplink_queue_bytes, 300);
-  EXPECT_EQ(a.uplink_drops, 2u);
   EXPECT_EQ(a.core_link_bytes, 6'000);
   EXPECT_EQ(a.core_drops, 4u);
   EXPECT_EQ(a.peak_core_queue_bytes, 150);
@@ -186,7 +182,7 @@ TEST(RunReportFields, CsvHeaderAndRowAgreeOnColumnCount) {
 TEST(RunReportGolden, Json) {
   EXPECT_EQ(
       sample_report().to_json(),
-      R"({"schema_version":4,"policy_stack":"islip-i2/-/instantaneous/hardware",)"
+      R"({"schema_version":5,"policy_stack":"islip-i2/-/instantaneous/hardware",)"
       R"("duration_ps":1000000000,"offered_packets":10,"offered_bytes":15000,)"
       R"("delivered_packets":8,"delivered_bytes":12000,"serviced_bytes":13000,)"
       R"("ocs_bytes":9000,"eps_bytes":3000,"latency_sensitive_bytes":1000,)"
@@ -205,8 +201,8 @@ TEST(RunReportGolden, Json) {
       R"("cross_rack_bytes":3000,"fct_intra_rack_count":1,"fct_intra_rack_mean_ps":4e+07,)"
       R"("fct_intra_rack_p99_ps":40000000,"fct_cross_rack_count":1,)"
       R"("fct_cross_rack_mean_ps":9e+07,"fct_cross_rack_p99_ps":90000000,)"
-      R"("peak_uplink_queue_bytes":300,"uplink_drops":1,"core_link_bytes":3000,)"
-      R"("core_drops":2,"peak_core_queue_bytes":150,"core_utilization":0.25})");
+      R"("core_link_bytes":3000,"core_drops":2,)"
+      R"("peak_core_queue_bytes":150,"core_utilization":0.25})");
 }
 
 TEST(RunReportGolden, CsvRow) {
@@ -225,14 +221,13 @@ TEST(RunReportGolden, CsvRow) {
             "fct_other_count,fct_other_mean_ps,fct_other_p99_ps,intra_rack_bytes,"
             "cross_rack_bytes,fct_intra_rack_count,fct_intra_rack_mean_ps,fct_intra_rack_p99_ps,"
             "fct_cross_rack_count,fct_cross_rack_mean_ps,fct_cross_rack_p99_ps,"
-            "peak_uplink_queue_bytes,uplink_drops,core_link_bytes,core_drops,"
-            "peak_core_queue_bytes,core_utilization");
+            "core_link_bytes,core_drops,peak_core_queue_bytes,core_utilization");
   EXPECT_EQ(sample_report().csv_row(),
-            "4,islip-i2/-/instantaneous/hardware,"
+            "5,islip-i2/-/instantaneous/hardware,"
             "1000000000,10,15000,8,12000,13000,9000,3000,1000,2000,9000,1,2,3,4,5,2000000,0.5,"
             "400,200,4,250000,0.8,2,5,3,3,7,1,5,5,1,1.5,1.5,"
             "6,2,0.25,11000,1,4e+07,40000000,40000000,40000000,1,9e+07,90000000,"
-            "9000,3000,1,4e+07,40000000,1,9e+07,90000000,300,1,3000,2,150,0.25");
+            "9000,3000,1,4e+07,40000000,1,9e+07,90000000,3000,2,150,0.25");
 }
 
 // ---- state round-trip: the read side (core/report_io) ----------------------
@@ -286,9 +281,9 @@ TEST(RunReportStateIo, EmptyReportRoundTrips) {
 TEST(RunReportStateIo, RejectsSchemaMismatchAndMissingKeys) {
   const std::string state = report_state_json(sample_report());
 
-  // Wrong schema version: flip the leading "schema_version":4.
+  // Wrong schema version: flip the leading "schema_version":5.
   std::string wrong = state;
-  const auto pos = wrong.find("\"schema_version\":4");
+  const auto pos = wrong.find("\"schema_version\":5");
   ASSERT_NE(pos, std::string::npos);
   wrong.replace(pos, 18, "\"schema_version\":1");
   EXPECT_THROW((void)report_from_state_json(wrong), std::invalid_argument);

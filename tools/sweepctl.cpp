@@ -886,44 +886,25 @@ int cmd_trace(const Options& opt) {
   obs::TelemetryConfig tc;
   tc.span_log_capacity = 1 << 16;  // keep individual spans for the host track
 
-  if (spec.topology.multi_rack()) {
-    // Fat-tree: the sim-event track comes from ToR 0 (every rack runs the
-    // same policy stack, so one switch is representative); the per-tier
-    // gauge series render as one counter track per ToR plus the core.
-    std::unique_ptr<topo::FatTree> ft = exp::materialize_fat_tree(spec);
-    sim::TraceRecorder& trace = ft->rack(0).trace();
-    trace.set_capacity(1 << 20, sim::TraceOverflow::kDropOldest);
-    trace.enable();
-    ft->enable_telemetry(tc);
-    (void)ft->run(spec.duration, spec.warmup);
-
-    write_file(opt.out_path,
-               obs::chrome_trace_json(trace, ft->telemetry()->registry(), ft->tier_series()));
-    std::printf("trace %s: %zu events kept (%llu dropped), %zu spans kept (%llu dropped), "
-                "%zu tier tracks -> %s\n",
-                spec.key().c_str(), trace.events().size(),
-                static_cast<unsigned long long>(trace.dropped()),
-                ft->telemetry()->registry().spans().size(),
-                static_cast<unsigned long long>(ft->telemetry()->registry().spans_dropped()),
-                ft->tier_series().size(), opt.out_path.c_str());
-    std::printf("load %s in ui.perfetto.dev or chrome://tracing\n", opt.out_path.c_str());
-    return 0;
-  }
-
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
+  // The sim-event track comes from ToR 0 (every rack runs the same policy
+  // stack, so one switch is representative); a multi-rack tree adds its
+  // per-tier gauge series as one counter track per ToR plus the core.
+  std::unique_ptr<topo::FatTree> ft = exp::materialize(spec);
+  sim::TraceRecorder& trace = ft->rack(0).trace();
   // Bounded tracing: drop-oldest keeps the trace's tail contiguous, so
   // start/done pairs still fold into duration slices after overflow.
-  fw->trace().set_capacity(1 << 20, sim::TraceOverflow::kDropOldest);
-  fw->trace().enable();
-  fw->enable_telemetry(tc);
-  (void)fw->run(spec.duration, spec.warmup);
+  trace.set_capacity(1 << 20, sim::TraceOverflow::kDropOldest);
+  trace.enable();
+  ft->enable_telemetry(tc);
+  (void)ft->run(spec.duration, spec.warmup);
 
-  write_file(opt.out_path, obs::chrome_trace_json(fw->trace(), fw->telemetry()->registry()));
-  std::printf("trace %s: %zu events kept (%llu dropped), %zu spans kept (%llu dropped) -> %s\n",
-              spec.key().c_str(), fw->trace().events().size(),
-              static_cast<unsigned long long>(fw->trace().dropped()),
-              fw->telemetry()->registry().spans().size(),
-              static_cast<unsigned long long>(fw->telemetry()->registry().spans_dropped()),
+  const obs::Registry& reg = ft->telemetry()->registry();
+  write_file(opt.out_path, obs::chrome_trace_json(trace, reg, ft->tier_series()));
+  std::printf("trace %s: %zu events kept (%llu dropped), %zu spans kept (%llu dropped), "
+              "%zu tier tracks -> %s\n",
+              spec.key().c_str(), trace.events().size(),
+              static_cast<unsigned long long>(trace.dropped()), reg.spans().size(),
+              static_cast<unsigned long long>(reg.spans_dropped()), ft->tier_series().size(),
               opt.out_path.c_str());
   std::printf("load %s in ui.perfetto.dev or chrome://tracing\n", opt.out_path.c_str());
   return 0;
