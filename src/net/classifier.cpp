@@ -13,10 +13,6 @@ bool Rule::matches(const FiveTuple& t) const noexcept {
   return true;
 }
 
-Classifier::Classifier(std::size_t cache_capacity) : cache_capacity_{cache_capacity} {
-  cache_.reserve(std::min<std::size_t>(cache_capacity, 1 << 16));
-}
-
 void Classifier::add_rule(const Rule& rule) {
   const Indexed entry{rule, next_order_++};
   const auto pos = std::upper_bound(
@@ -25,54 +21,30 @@ void Classifier::add_rule(const Rule& rule) {
         return a.order < b.order;
       });
   rules_.insert(pos, entry);
-  cache_.clear();  // verdicts may have changed
 }
 
 std::size_t Classifier::remove_rule(std::uint64_t id) {
   const auto before = rules_.size();
   std::erase_if(rules_, [id](const Indexed& e) { return e.rule.id == id; });
-  const std::size_t removed = before - rules_.size();
-  if (removed > 0) cache_.clear();
-  return removed;
+  return before - rules_.size();
 }
 
-void Classifier::clear_rules() noexcept {
-  rules_.clear();
-  cache_.clear();
-}
-
-void Classifier::count_rule_hit(std::uint64_t id, std::int64_t bytes) {
-  if (id == 0) return;
-  RuleCounters& c = counters_[id];
-  ++c.packets;
-  c.bytes += bytes;
-}
+void Classifier::clear_rules() noexcept { rules_.clear(); }
 
 Verdict Classifier::classify(const Packet& p, const Verdict& fallback) {
   ++stats_.lookups;
-  if (const auto it = cache_.find(p.tuple); it != cache_.end()) {
-    ++stats_.cache_hits;
-    count_rule_hit(it->second.rule_id, p.size_bytes);
-    return it->second.verdict;
-  }
-  CacheEntry entry{fallback, 0};
-  bool from_rule = false;
-  for (const auto& [rule, order] : rules_) {
-    (void)order;
-    if (rule.matches(p.tuple)) {
-      entry = CacheEntry{rule.verdict, rule.id};
-      from_rule = true;
-      break;
-    }
-  }
-  if (from_rule) {
+  for (const Indexed& e : rules_) {
+    if (!e.rule.matches(p.tuple)) continue;
     ++stats_.rule_hits;
-    count_rule_hit(entry.rule_id, p.size_bytes);
-  } else {
-    ++stats_.default_hits;
+    if (e.rule.id != 0) {
+      RuleCounters& c = counters_[e.rule.id];
+      ++c.packets;
+      c.bytes += p.size_bytes;
+    }
+    return e.rule.verdict;
   }
-  if (cache_.size() < cache_capacity_) cache_.emplace(p.tuple, entry);
-  return entry.verdict;
+  ++stats_.default_hits;
+  return fallback;
 }
 
 RuleCounters Classifier::rule_counters(std::uint64_t id) const {

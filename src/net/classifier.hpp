@@ -2,14 +2,15 @@
 // "packets are classified into flows based on configurable look-up rules
 //  and placed into their respective Virtual Output Queue".
 //
-// Two stages mirror an FPGA datapath:
-//  1. an exact-match flow cache (hash table, models a CAM) hit in O(1), and
-//  2. a priority-ordered wildcard rule table (models a TCAM) searched on
-//     miss, whose verdict is installed into the cache.
-// The verdict selects the destination port (hence the VOQ) and the traffic
-// class used by hybrid fabric policy.  Rules carry caller-assigned ids and
-// per-rule match counters, which is what the SDN layer (control/sdn.hpp)
-// builds on.
+// One stage models the FPGA datapath's TCAM: a priority-ordered wildcard
+// rule table searched for every packet.  The first matching rule's verdict
+// wins; with none, the caller's fallback does.  Nothing is remembered
+// between packets, so a verdict can never go stale: two packets of one
+// 5-tuple may carry different fallbacks, and an added or removed rule
+// applies from the next packet on.  The verdict selects the destination
+// port (hence the VOQ) and the traffic class used by hybrid fabric policy.
+// Rules carry caller-assigned ids and per-rule match counters, which is
+// what the SDN layer (control/sdn.hpp) builds on.
 #ifndef XDRS_NET_CLASSIFIER_HPP
 #define XDRS_NET_CLASSIFIER_HPP
 
@@ -51,8 +52,7 @@ struct Rule {
 
 /// Classifier statistics for the datapath benches.
 struct ClassifierStats {
-  std::uint64_t lookups{0};
-  std::uint64_t cache_hits{0};
+  std::uint64_t lookups{0};  ///< == rule_hits + default_hits
   std::uint64_t rule_hits{0};
   std::uint64_t default_hits{0};
 };
@@ -65,21 +65,20 @@ struct RuleCounters {
 
 class Classifier {
  public:
-  explicit Classifier(std::size_t cache_capacity = 65536);
-
   /// Installs a rule; rules are kept sorted by (priority, insertion order).
   void add_rule(const Rule& rule);
 
   /// Removes every rule whose id equals `id`; returns the count removed.
   std::size_t remove_rule(std::uint64_t id);
 
-  /// Removes all rules and invalidates the flow cache.
+  /// Removes all rules.
   void clear_rules() noexcept;
 
   [[nodiscard]] std::size_t rule_count() const noexcept { return rules_.size(); }
 
-  /// Classifies `p`.  `fallback` supplies the verdict when no rule matches
-  /// (typically derived from the packet's destination port field).
+  /// Classifies `p`: the first rule in (priority, insertion) order that
+  /// matches its 5-tuple, else `fallback` (typically the packet's own
+  /// destination port and class).
   Verdict classify(const Packet& p, const Verdict& fallback);
 
   [[nodiscard]] const ClassifierStats& stats() const noexcept { return stats_; }
@@ -92,17 +91,9 @@ class Classifier {
     Rule rule;
     std::uint64_t order;
   };
-  struct CacheEntry {
-    Verdict verdict;
-    std::uint64_t rule_id{0};  ///< 0: fallback verdict
-  };
-
-  void count_rule_hit(std::uint64_t id, std::int64_t bytes);
 
   std::vector<Indexed> rules_;  // sorted by (priority, order)
-  std::unordered_map<FiveTuple, CacheEntry, FiveTupleHash> cache_;
   std::unordered_map<std::uint64_t, RuleCounters> counters_;
-  std::size_t cache_capacity_;
   std::uint64_t next_order_{0};
   ClassifierStats stats_;
 };

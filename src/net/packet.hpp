@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "sim/time.hpp"
@@ -47,22 +46,6 @@ struct FiveTuple {
   constexpr auto operator<=>(const FiveTuple&) const noexcept = default;
 
   [[nodiscard]] std::string to_string() const;
-};
-
-/// Hash for exact-match flow tables (FNV-1a over the tuple fields).
-struct FiveTupleHash {
-  [[nodiscard]] std::size_t operator()(const FiveTuple& t) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-    };
-    mix(t.src_addr);
-    mix(t.dst_addr);
-    mix(static_cast<std::uint64_t>(t.src_port) << 16 | t.dst_port);
-    mix(static_cast<std::uint64_t>(t.proto));
-    return static_cast<std::size_t>(h);
-  }
 };
 
 /// A packet traversing the fabric.  Value type; freely copyable.

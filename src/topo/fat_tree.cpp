@@ -49,6 +49,9 @@ Placement place_flow(std::uint64_t seed, std::uint32_t rack, net::PortId src, ne
 FatTree::FatTree(TopologySpec topo, core::FrameworkConfig tor)
     : topo_{topo}, host_ports_{tor.ports}, uplink_ports_{0} {
   if (topo_.racks == 0) throw std::invalid_argument{"FatTree: racks must be >= 1"};
+  if (topo_.racks > 256) {
+    throw std::invalid_argument{"FatTree: racks must be <= 256 (one address octet)"};
+  }
   if (host_ports_ == 0) throw std::invalid_argument{"FatTree: a ToR needs host ports"};
   if (!(topo_.oversubscription > 0.0) || !std::isfinite(topo_.oversubscription)) {
     throw std::invalid_argument{"FatTree: oversubscription must be finite and positive"};
@@ -113,6 +116,11 @@ core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(
     const Placement pl = place_flow(seed, rack, p.src, p.dst, p.flow, locality, racks, uplinks);
     p.src_rack = rack;
     p.dst_rack = pl.dst_rack;
+    // Rack-namespace the synthesized addresses (10.<rack>.0.0/16 + host
+    // index), so a ToR rule on one rack's host never catches another
+    // rack's host with the same index.
+    p.tuple.src_addr |= rack << 16;
+    p.tuple.dst_addr |= pl.dst_rack << 16;
     if (!pl.remote) return;
     p.final_dst = p.dst;
     p.dst = host + pl.uplink;

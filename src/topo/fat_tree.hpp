@@ -88,8 +88,8 @@ class FatTree {
  public:
   /// `tor` describes one ToR as a single-switch config whose `ports` field
   /// counts HOST ports; FatTree adds the uplink ports itself.  Throws
-  /// std::invalid_argument on zero racks/ports or a non-positive
-  /// oversubscription.
+  /// std::invalid_argument on zero or more than 256 racks, zero ports or a
+  /// non-positive oversubscription.
   FatTree(TopologySpec topo, core::FrameworkConfig tor);
 
   FatTree(const FatTree&) = delete;
@@ -110,7 +110,9 @@ class FatTree {
   /// place_flow() with this topology's shape, rewriting remote packets at
   /// the chosen uplink port (final_dst keeps the host index) and
   /// namespacing their flow ids by source rack so cross-rack flows never
-  /// collide in the destination tracker.  Empty for single-rack
+  /// collide in the destination tracker.  Every packet's 5-tuple addresses
+  /// carry their rack in the second octet (10.<rack>.0.0/16 + host index),
+  /// so classifier rules address one rack's hosts.  Empty for single-rack
   /// topologies — the single-switch path stays untouched.
   [[nodiscard]] core::HybridSwitchFramework::IngressTransform placement_transform(
       std::uint32_t rack, double locality, std::uint64_t seed) const;

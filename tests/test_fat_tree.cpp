@@ -8,15 +8,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "control/sdn.hpp"
 #include "core/report_io.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "sim/time.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
+#include "traffic/generators.hpp"
 
 namespace xdrs {
 namespace {
@@ -95,6 +99,13 @@ TEST(TopologySpecTest, UplinkDerivationFollowsOversubscription) {
   EXPECT_FALSE(t.multi_rack());
   t.racks = 2;
   EXPECT_TRUE(t.multi_rack());
+}
+
+TEST(TopologySpecTest, RackCountFitsTheAddressOctet) {
+  // Each rack owns 10.<rack>.0.0/16 of the synthesized 5-tuple space.
+  TopologySpec t;
+  t.racks = 257;
+  EXPECT_THROW((topo::FatTree{t, core::FrameworkConfig{}}), std::invalid_argument);
 }
 
 // ---- single-rack degeneration ----------------------------------------------
@@ -219,6 +230,87 @@ TEST(FatTreeRun, OversubscriptionCapsCrossRackGoodputNotIntraRack) {
                              static_cast<double>(rf.intra_rack_bytes);
   EXPECT_GT(intra_ratio, 0.7);
   EXPECT_LT(intra_ratio, 1.3);
+}
+
+TEST(FatTreeRun, CrossRackTrafficIsDeliveredAndCrossesTheCoreOnce) {
+  // The shape the cross-rack misroute was measured at: a per-5-tuple
+  // verdict cache sent remote packets to the local host with the same index
+  // and local ones into the core (26.2 of 374.6 MB delivered at locality 0,
+  // with 495.7 MB of core bytes).  Core bytes may exceed the remote share
+  // of the offered bytes only by the warm-up backlog they also carry (core
+  // bytes count every forward in the window, offered bytes only
+  // window-born packets) and the spread of the hashed per-pair placement
+  // draw: 10 % covers both.  The fixed code reads 0.94 and 0.97.
+  for (const double locality : {0.0, 0.5}) {
+    const ScenarioSpec spec = make_scenario("uniform", 32, 0.6, 1)
+                                  .with_window(8_ms, 2_ms)
+                                  .with_racks(2)
+                                  .with_oversubscription(1.0)
+                                  .with_locality(locality);
+    const core::RunReport r = exp::run_scenario(spec);
+    const double offered = static_cast<double>(r.offered_bytes);
+    EXPECT_GE(static_cast<double>(r.delivered_bytes), 0.8 * offered) << "locality " << locality;
+    EXPECT_LE(static_cast<double>(r.core_link_bytes), 1.1 * (1.0 - locality) * offered)
+        << "locality " << locality;
+  }
+}
+
+TEST(FatTreeRun, SdnRuleOnAToRRetargetsOnlyItsLocalFlow) {
+  // A rule on rack 0's classifier for 10.0.0.5 — rack 0's host 5.  Rack 0
+  // sends one local flow 2 -> 5 and one cross-rack flow 3 -> rack 1's host
+  // 5 (10.1.0.5), and nothing else: the uniform scenario's slotted ToRs
+  // and policies without its workloads.  Only the local flow may match.
+  constexpr std::uint32_t kHosts = 8;
+  ScenarioSpec spec = make_scenario("uniform", kHosts, 0.5, 1).with_racks(2);
+  spec.workloads.clear();
+  spec.voip_pairs = 0;
+  const auto tree = exp::materialize(spec);
+  topo::FatTree& ft = *tree;
+  for (std::uint32_t r = 0; r < ft.racks(); ++r) ft.rack(r).trace().enable();
+
+  const auto cbr = [](net::PortId src, net::PortId dst) {
+    traffic::CbrGenerator::Config c;
+    c.src = src;
+    c.dst = dst;
+    c.packet_bytes = 1000;
+    return std::make_unique<traffic::CbrGenerator>(c);
+  };
+  auto local = cbr(2, 5);
+  const traffic::TrafficGenerator& local_gen = *local;
+  auto remote = cbr(3, 5);
+  const traffic::TrafficGenerator& remote_gen = *remote;
+  ft.rack(0).add_generator(std::move(local), ft.placement_transform(0, 1.0, 1));
+  ft.rack(0).add_generator(std::move(remote), ft.placement_transform(0, 0.0, 1));
+
+  control::SdnController sdn{ft.rack(0).classifier()};
+  net::Rule rule;
+  rule.dst_addr_value = 0x0a000005u;
+  rule.dst_addr_mask = 0xffffffffu;
+  rule.verdict = net::Verdict{6, net::TrafficClass::kThroughput};
+  const std::uint64_t id = sdn.install(rule);
+
+  (void)ft.run(1_ms);
+  const auto deliveries = [&ft](std::uint32_t rack, auto pred) {
+    std::size_t n = 0;
+    for (const sim::TraceEvent& e : ft.rack(rack).trace().events()) {
+      if (e.category == sim::TraceCategory::kDeliver && pred(e.a, e.b)) ++n;
+    }
+    return n;
+  };
+  const std::uint64_t emitted = local_gen.stats().packets;
+  ASSERT_GT(emitted, 10u);
+  EXPECT_EQ(sdn.flow_stats(id).packets, emitted);
+  EXPECT_EQ(sdn.flow_stats(id).bytes, local_gen.stats().bytes);
+  // The local flow lands on host 6, never on host 5; allow for the packets
+  // still in flight at the horizon.
+  const std::size_t retargeted = deliveries(0, [](auto a, auto b) { return a == 2 && b == 6; });
+  EXPECT_GE(retargeted + 3, emitted);
+  EXPECT_EQ(deliveries(0, [](auto, auto b) { return b == 5; }), 0u);
+  // The cross-rack flow reaches rack 1's host 5 through the core.
+  const std::size_t crossed =
+      deliveries(1, [](auto a, auto b) { return a >= kHosts && b == 5; });
+  EXPECT_GE(crossed + 3, remote_gen.stats().packets);
+  EXPECT_GT(crossed, 10u);
 }
 
 // ---- sweep invariance ------------------------------------------------------

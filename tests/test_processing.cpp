@@ -143,6 +143,20 @@ TEST(Processing, ClassifierRuleRedirectsVoq) {
   EXPECT_EQ(rig.proc->voqs().bytes(0, 1), 0);
 }
 
+TEST(Processing, PacketsSharingATupleKeepTheirOwnClass) {
+  // A composite scenario's incast and uniform halves emit the same
+  // (src, dst, UDP, 0, 0) tuple in different classes.
+  Rig rig{tor_config()};
+  rig.proc->ingest(pkt(0, 2, 1000, net::TrafficClass::kThroughput));
+  rig.proc->ingest(pkt(0, 2, 1000, net::TrafficClass::kBestEffort));
+  rig.sim.run_until(1_us);
+  rig.proc->handle_grants(eps_grant(0, 2, 10'000, rig.sim.now() + 1_ms));
+  rig.sim.run();
+  ASSERT_EQ(rig.eps_delivered.size(), 2u);
+  EXPECT_EQ(rig.eps_delivered[0].tclass, net::TrafficClass::kThroughput);
+  EXPECT_EQ(rig.eps_delivered[1].tclass, net::TrafficClass::kBestEffort);
+}
+
 TEST(Processing, LatencySensitiveBypassesVoqInTorMode) {
   Rig rig{tor_config()};
   rig.proc->ingest(pkt(0, 1, 200, net::TrafficClass::kLatencySensitive));

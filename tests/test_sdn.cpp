@@ -63,7 +63,7 @@ TEST(SdnController, FlowStatsCountMatches) {
   const auto id = sdn.install(r);
 
   (void)cl.classify(classified_packet(1, 7, 100), {});
-  (void)cl.classify(classified_packet(1, 7, 200), {});  // cache hit, still counted
+  (void)cl.classify(classified_packet(1, 7, 200), {});  // same flow, counted again
   (void)cl.classify(classified_packet(1, 8, 400), {});  // different flow, no match
 
   const net::RuleCounters c = sdn.flow_stats(id);
