@@ -52,6 +52,7 @@ ElephantPinner::ElephantPinner(sim::Simulator& sim, SdnController& controller,
   if (cfg.unpin_threshold_bytes > cfg.pin_threshold_bytes) {
     throw std::invalid_argument{"ElephantPinner: unpin threshold above pin threshold"};
   }
+  if (cfg.rack > 255) throw std::invalid_argument{"ElephantPinner: rack must fit one octet"};
 }
 
 void ElephantPinner::start(sim::Time horizon) {
@@ -67,12 +68,13 @@ void ElephantPinner::poll(sim::Time horizon) {
       if (it == pinned_.end()) {
         if (backlog >= cfg_.pin_threshold_bytes) {
           // Pin: exact-match on the generators' synthetic addressing
-          // (10.0/16 + port index), action = throughput class on the same
-          // output port.
+          // (10.<rack>/16 + port index), action = throughput class on the
+          // same output port.
+          const std::uint32_t net16 = 0x0a000000u | (cfg_.rack << 16);
           net::Rule r;
-          r.src_addr_value = 0x0a000000u | i;
+          r.src_addr_value = net16 | i;
           r.src_addr_mask = 0xffffffffu;
-          r.dst_addr_value = 0x0a000000u | j;
+          r.dst_addr_value = net16 | j;
           r.dst_addr_mask = 0xffffffffu;
           r.priority = 10;
           r.verdict = net::Verdict{j, net::TrafficClass::kThroughput};

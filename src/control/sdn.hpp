@@ -57,6 +57,9 @@ class ElephantPinner {
     sim::Time poll_period{sim::Time::microseconds(100)};
     std::int64_t pin_threshold_bytes{64 * 1024};    ///< backlog to pin at
     std::int64_t unpin_threshold_bytes{8 * 1024};   ///< backlog to unpin at
+    /// Rack whose hosts the pin rules address: the generators' synthetic
+    /// addressing is 10.<rack>.0.0/16 + port index (0 on a single switch).
+    std::uint32_t rack{0};
   };
 
   ElephantPinner(sim::Simulator& sim, SdnController& controller,

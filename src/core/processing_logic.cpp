@@ -80,8 +80,13 @@ void ProcessingLogic::enqueue(const net::Packet& p) {
     trace_.record(sim_.now(), TraceCategory::kEnqueue, input, p.dst);
     if (arrival_cb_) arrival_cb_(input, p.dst, p.size_bytes, sim_.now());
     if (deadline_cb_ && !p.deadline.is_zero()) deadline_cb_(input, p.dst, p.deadline, sim_.now());
-    // A sleeping OCS window may be waiting for exactly this backlog.
-    pump_ocs(input);
+    // An open OCS window idles on an empty VOQ with no wake-up armed: this
+    // packet can start service now.  In every other case the input's chain
+    // is already waiting for its window or its wire.
+    const InputState& st = inputs_[input];
+    if (st.ocs_grant.has_value() && !st.ocs_wake.valid() && st.ocs_grant->dst == p.dst) {
+      pump_ocs(input);
+    }
     pump_eps(input);
   } else {
     trace_.record(sim_.now(), TraceCategory::kDrop, input, p.dst);
@@ -119,32 +124,30 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
   const Time offset = host_offset(input);
   const Time now = sim_.now();
 
-  // The host acts when *its* clock reads the window times; physical time is
-  // shifted by its offset.
-  const Time window_open_physical = g.valid_from + offset;
-  if (now < window_open_physical) {
-    if (!st.ocs_pump_waiting) {
-      st.ocs_pump_waiting = true;
-      sim_.schedule_at(window_open_physical, [this, input] {
-        inputs_[input].ocs_pump_waiting = false;
-        pump_ocs(input);
-      });
-    }
-    return;
-  }
-
   if (st.ocs_remaining <= 0) {
     st.ocs_grant.reset();
+    cancel_ocs_wake(input);
+    return;
+  }
+  // The host acts when *its* clock reads the window times; physical time is
+  // shifted by its offset.  It launches only onto a free wire, so `now` is
+  // the real start of every transmission below.
+  const Time start = std::max({g.valid_from + offset, st.ocs_tx_until, ocs_.port_free_at(input)});
+  if (now < start) {
+    wake_ocs_at(input, start);
     return;
   }
   const net::Packet* head = voqs_.peek(input, g.dst);
-  if (head == nullptr) return;  // new arrivals will re-pump
+  if (head == nullptr) {
+    cancel_ocs_wake(input);  // idle: the next arrival for g.dst re-pumps
+    return;
+  }
 
   const Time tx = cfg_.link_rate.transmission_time(head->size_bytes + sim::kWireOverheadBytes);
-  const Time perceived_now = now - offset;
-  if (perceived_now + tx > g.valid_until) {
+  if (now - offset + tx > g.valid_until) {
     // The host believes the window is over (possibly wrongly, under skew).
     st.ocs_grant.reset();
+    cancel_ocs_wake(input);
     return;
   }
 
@@ -152,9 +155,11 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
   if (departure_cb_) departure_cb_(input, g.dst, p.size_bytes, now);
   trace_.record(now, TraceCategory::kDequeue, input, g.dst);
   ++stats_.granted_ocs_packets;
+  st.ocs_tx_until = now + tx;
 
-  const auto delivered = ocs_.send(input, p);
-  if (!delivered.has_value()) {
+  if (ocs_.send(input, p).has_value()) {
+    st.ocs_remaining -= p.size_bytes;
+  } else {
     // No live circuit: the host launched into darkness or a stale circuit
     // (clock skew, or configure/grant overlap ablation).
     ++stats_.sync_losses;
@@ -162,13 +167,28 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
     if (cfg_.eps_fallback_on_miss) {
       send_eps_paced(input, p);
     }
-    // The host still believes the transmission took tx.
-    sim_.schedule(tx, [this, input] { pump_ocs(input); });
-    return;
   }
-  st.ocs_remaining -= p.size_bytes;
-  const Time next_free = ocs_.port_free_at(input);
-  sim_.schedule_at(next_free, [this, input] { pump_ocs(input); });
+  wake_ocs_at(input, st.ocs_tx_until);
+}
+
+void ProcessingLogic::wake_ocs_at(net::PortId input, Time at) {
+  InputState& st = inputs_[input];
+  if (st.ocs_wake.valid()) {
+    if (st.ocs_wake_at == at) return;
+    sim_.cancel(st.ocs_wake);
+  }
+  st.ocs_wake_at = at;
+  st.ocs_wake = sim_.schedule_at(at, [this, input] {
+    inputs_[input].ocs_wake = {};
+    pump_ocs(input);
+  });
+}
+
+void ProcessingLogic::cancel_ocs_wake(net::PortId input) {
+  InputState& st = inputs_[input];
+  if (!st.ocs_wake.valid()) return;
+  sim_.cancel(st.ocs_wake);
+  st.ocs_wake = {};
 }
 
 void ProcessingLogic::pump_eps(net::PortId input) {

@@ -78,17 +78,31 @@ class ProcessingLogic {
     control::Grant grant;
     std::int64_t remaining{0};
   };
+  /// Per-input host state.  OCS service is one chain per input: at most
+  /// one wake-up is pending, stamped at the time the held grant can next
+  /// start a transmission (its window opening, or the wire falling free).
   struct InputState {
     std::optional<control::Grant> ocs_grant;
     std::int64_t ocs_remaining{0};
-    bool ocs_pump_waiting{false};  ///< a wake-up is already scheduled
+    /// The host's own OCS transmitter: busy for a launch's serialisation
+    /// even when the OCS never saw the packet (launch into darkness).
+    sim::Time ocs_tx_until{};
+    sim::EventId ocs_wake{};  ///< the chain's one pending wake-up, if valid
+    sim::Time ocs_wake_at{};
     std::deque<EpsGrant> eps_grants;
     bool eps_pumping{false};
     sim::Time eps_busy_until{};
   };
 
   void enqueue(const net::Packet& p);
+  /// Serves the held OCS grant of `input`: launches the VOQ head if the
+  /// window is open and the wire is free, else (re)arms the input's single
+  /// wake-up for when service can start.
   void pump_ocs(net::PortId input);
+  /// Points the input's one OCS wake-up at `at`, moving a pending one.
+  void wake_ocs_at(net::PortId input, sim::Time at);
+  /// Drops the input's pending OCS wake-up: its grant is idle or over.
+  void cancel_ocs_wake(net::PortId input);
   void pump_eps(net::PortId input);
   /// Serialises `p` onto the electrical path of `input` and admits it to
   /// the EPS; shared by granted traffic and the latency-sensitive bypass.

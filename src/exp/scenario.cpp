@@ -397,8 +397,11 @@ std::unique_ptr<topo::FatTree> materialize(const ScenarioSpec& spec) {
       topo::attach_workload(fw, wr, ft->placement_transform(r, w.locality, w.seed));
     }
     if (spec.voip_pairs > 0) {
+      // Locality 1 keeps every stream in its rack; the transform only
+      // rack-namespaces the tuple, like every other packet of rack r.
       topo::attach_voip(fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
-                        spec.config.seed + 99 + r);
+                        spec.config.seed + 99 + r,
+                        ft->placement_transform(r, 1.0, spec.config.seed));
     }
   }
   return ft;

@@ -73,7 +73,6 @@ struct Packet {
   // A cross-rack packet travels source-ToR fabric -> core link -> dest-ToR
   // fabric; `dst` is rewritten per hop (uplink port, then final_dst) while
   // these fields carry the end-to-end route.
-  std::uint32_t src_rack{0};  ///< rack the packet was generated in
   std::uint32_t dst_rack{0};  ///< rack the packet terminates in
   PortId final_dst{0};        ///< host port within dst_rack (cross-rack only)
   bool remote{false};         ///< true iff the packet crosses the core tier

@@ -30,13 +30,13 @@ void OpticalCircuitSwitch::reconfigure(const schedulers::Matching& next) {
   // Cut every packet still on the fabric: light stops propagating the
   // instant mirrors start moving.
   for (std::uint32_t in = 0; in < cfg_.ports; ++in) {
-    InFlight& f = in_flight_[in];
-    if (f.active && f.completes > sim_.now()) {
-      sim_.cancel(f.event);
-      f.active = false;
+    std::vector<InFlight>& fifo = in_flight_[in];
+    while (!fifo.empty() && fifo.back().delivers > sim_.now()) {
+      sim_.cancel(fifo.back().event);
+      fifo.pop_back();
       ++stats_.packets_cut_by_reconfig;
-      busy_until_[in] = sim_.now();
     }
+    busy_until_[in] = std::min(busy_until_[in], sim_.now());
   }
 
   config_ = next;
@@ -81,15 +81,12 @@ std::optional<sim::Time> OpticalCircuitSwitch::send(net::PortId in, const net::P
 
   const sim::Time deliver_at = done + cfg_.fabric_latency;
   net::Packet delivered = p;
-  InFlight& f = in_flight_[in];
-  f.completes = deliver_at;
-  f.active = true;
-  f.event = sim_.schedule_at(deliver_at, [this, delivered, in] {
-    in_flight_[in].active = false;
+  in_flight_[in].push_back(InFlight{sim_.schedule_at(deliver_at, [this, delivered, in] {
+    in_flight_[in].erase(in_flight_[in].begin());
     ++stats_.packets_delivered;
     stats_.bytes_delivered += delivered.size_bytes;
     if (deliver_cb_) deliver_cb_(delivered, delivered.dst);
-  });
+  }), deliver_at});
   return deliver_at;
 }
 

@@ -5,8 +5,9 @@
 // packets can be sent through the switch and hence need to be buffered."
 // The model therefore centres on the reconfiguration *dark period*: between
 // `reconfigure()` and the configured callback, every circuit is down, and
-// packets still serialising onto the fabric when darkness falls are lost
-// (counted separately — they are the transients of experiment E8).
+// packets still on the fabric (serialising or propagating) when darkness
+// falls are lost (counted separately — they are the transients of
+// experiment E8).
 #ifndef XDRS_SWITCHING_OCS_HPP
 #define XDRS_SWITCHING_OCS_HPP
 
@@ -57,7 +58,8 @@ class OpticalCircuitSwitch {
   /// Fired when a reconfiguration completes and circuits are up again.
   void set_configured_callback(ConfiguredCallback cb) { configured_cb_ = std::move(cb); }
 
-  /// Starts retuning to `next`.  Any packet still serialising is cut (lost).
+  /// Starts retuning to `next`.  Every packet still on the fabric, on any
+  /// input, is cut (lost).
   /// Re-entrant calls during a dark period supersede the pending target.
   void reconfigure(const schedulers::Matching& next);
 
@@ -85,8 +87,7 @@ class OpticalCircuitSwitch {
  private:
   struct InFlight {
     sim::EventId event{};
-    sim::Time completes{};
-    bool active{false};
+    sim::Time delivers{};
   };
 
   /// Completes (or retries, under failure injection) a dark period.
@@ -98,7 +99,11 @@ class OpticalCircuitSwitch {
   bool dark_{false};
   sim::EventId dark_end_event_{};
   std::vector<sim::Time> busy_until_;   // per input port
-  std::vector<InFlight> in_flight_;     // per input port (one packet at a time)
+  /// Per input port: every packet still on the fabric, oldest first.  One
+  /// input's deliveries land in send order, so the front lands next.  A
+  /// handful at most (a fabric latency's worth of serialisations), and
+  /// unlike a deque an empty vector costs no allocation per port.
+  std::vector<std::vector<InFlight>> in_flight_;
   sim::Rng failure_rng_;
   DeliverCallback deliver_cb_;
   ConfiguredCallback configured_cb_;

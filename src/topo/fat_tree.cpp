@@ -85,15 +85,13 @@ FatTree::FatTree(TopologySpec topo, core::FrameworkConfig tor)
       core_.push_back(std::move(q));
     }
   }
-  for (std::uint32_t r = 0; r < topo_.racks; ++r) {
-    racks_[r]->set_uplink_hook(host_ports_,
-                               [this, r](const net::Packet& p, control::FabricPath) {
-                                 route_uplink(r, p);
-                               });
+  for (auto& fw : racks_) {
+    fw->set_uplink_hook(host_ports_,
+                        [this](const net::Packet& p, control::FabricPath) { route_uplink(p); });
   }
 }
 
-void FatTree::route_uplink(std::uint32_t src_rack, const net::Packet& p) {
+void FatTree::route_uplink(const net::Packet& p) {
   // The source ToR delivered `p` at uplink egress port host_ports_ + u:
   // that is core switch u.  Its downlink FIFO into the destination rack
   // serialises + propagates, then reinjects at the same uplink index of
@@ -103,7 +101,6 @@ void FatTree::route_uplink(std::uint32_t src_rack, const net::Packet& p) {
   q.src = host_ports_ + u;  // ingress port at the destination ToR
   q.dst = p.final_dst;
   core_[static_cast<std::size_t>(u) * topo_.racks + p.dst_rack]->offer(q);
-  (void)src_rack;
 }
 
 core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(
@@ -114,7 +111,6 @@ core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(
   const std::uint32_t host = host_ports_;
   return [seed, rack, locality, racks, uplinks, host](net::Packet& p) {
     const Placement pl = place_flow(seed, rack, p.src, p.dst, p.flow, locality, racks, uplinks);
-    p.src_rack = rack;
     p.dst_rack = pl.dst_rack;
     // Rack-namespace the synthesized addresses (10.<rack>.0.0/16 + host
     // index), so a ToR rule on one rack's host never catches another

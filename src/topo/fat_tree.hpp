@@ -144,7 +144,7 @@ class FatTree {
   [[nodiscard]] std::int64_t core_queue_bytes() const noexcept;
 
  private:
-  void route_uplink(std::uint32_t src_rack, const net::Packet& p);
+  void route_uplink(const net::Packet& p);
   void sample_tiers(sim::Time period, sim::Time horizon);
 
   TopologySpec topo_;

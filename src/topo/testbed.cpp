@@ -144,7 +144,8 @@ void attach_workload(core::HybridSwitchFramework& fw, const WorkloadSpec& spec,
 }
 
 void attach_voip(core::HybridSwitchFramework& fw, std::uint32_t pairs, sim::Time period,
-                 std::int64_t packet_bytes, std::uint64_t seed) {
+                 std::int64_t packet_bytes, std::uint64_t seed,
+                 const core::HybridSwitchFramework::IngressTransform& transform) {
   const std::uint32_t ports = fw.config().host_ports();
   if (pairs > ports) throw std::invalid_argument{"attach_voip: more pairs than ports"};
   for (std::uint32_t i = 0; i < pairs; ++i) {
@@ -157,7 +158,7 @@ void attach_voip(core::HybridSwitchFramework& fw, std::uint32_t pairs, sim::Time
     // Stagger phases so streams do not synchronise.
     gc.phase = sim::Time::picoseconds((period.ps() / (pairs + 1)) * (i + 1));
     gc.seed = seed + i;
-    fw.add_generator(std::make_unique<CbrGenerator>(gc));
+    fw.add_generator(std::make_unique<CbrGenerator>(gc), transform);
   }
 }
 

@@ -67,9 +67,13 @@ void attach_workload(core::HybridSwitchFramework& fw, const WorkloadSpec& spec,
 /// Adds `pairs` bidirectional VOIP-like CBR streams between distinct host
 /// port pairs (src i <-> dst (i + ports/2) % ports), `packet_bytes` every
 /// `period`.  Marked latency-sensitive.  Always rack-local: VOIP overlays
-/// model intra-rack service traffic even in fat-tree runs.
+/// model intra-rack service traffic even in fat-tree runs.  The optional
+/// `transform` is installed on every stream; on a fat-tree it should keep
+/// the stream local and rack-namespace its addresses
+/// (FatTree::placement_transform at locality 1).
 void attach_voip(core::HybridSwitchFramework& fw, std::uint32_t pairs, sim::Time period,
-                 std::int64_t packet_bytes, std::uint64_t seed = 99);
+                 std::int64_t packet_bytes, std::uint64_t seed = 99,
+                 const core::HybridSwitchFramework::IngressTransform& transform = {});
 
 }  // namespace xdrs::topo
 

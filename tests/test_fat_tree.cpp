@@ -313,6 +313,41 @@ TEST(FatTreeRun, SdnRuleOnAToRRetargetsOnlyItsLocalFlow) {
   EXPECT_GT(crossed, 10u);
 }
 
+TEST(FatTreeRun, VoipOverlayCarriesItsRacksAddresses) {
+  // Rack 1's VOIP stream 0 -> kHosts/2 must read 10.1.x.y like every other
+  // packet of rack 1, and stay in rack 1.
+  constexpr std::uint32_t kHosts = 8;
+  ScenarioSpec spec = make_scenario("uniform", kHosts, 0.5, 1).with_racks(2);
+  spec.workloads.clear();
+  spec.voip_pairs = 1;
+  const auto tree = exp::materialize(spec);
+  topo::FatTree& ft = *tree;
+  ft.rack(1).trace().enable();
+
+  control::SdnController sdn{ft.rack(1).classifier()};
+  const auto count_src = [&sdn](std::uint32_t src_addr) {
+    net::Rule rule;
+    rule.src_addr_value = src_addr;
+    rule.src_addr_mask = 0xffffffffu;
+    rule.verdict = net::Verdict{kHosts / 2, net::TrafficClass::kLatencySensitive};
+    return sdn.install(rule);
+  };
+  const std::uint64_t rack1 = count_src(0x0a010000u);
+  const std::uint64_t rack0 = count_src(0x0a000000u);
+
+  (void)ft.run(1_ms);
+  EXPECT_GT(sdn.flow_stats(rack1).packets, 0u);
+  EXPECT_EQ(sdn.flow_stats(rack0).packets, 0u);
+  std::size_t delivered = 0;
+  for (const sim::TraceEvent& e : ft.rack(1).trace().events()) {
+    if (e.category != sim::TraceCategory::kDeliver) continue;
+    EXPECT_LT(e.b, kHosts);  // nothing leaves through an uplink
+    if (e.a == 0 && e.b == kHosts / 2) ++delivered;
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(ft.core_queue_bytes(), 0);
+}
+
 // ---- sweep invariance ------------------------------------------------------
 
 std::vector<ScenarioSpec> small_ft_grid() {

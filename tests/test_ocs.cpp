@@ -129,6 +129,31 @@ TEST(Ocs, ReconfigurationCutsInFlightPacket) {
   EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 1u);
 }
 
+TEST(Ocs, ReconfigurationCutsEveryPacketStillOnTheFabric) {
+  // A long fabric leaves several packets of one input propagating at once;
+  // none sent before the retune may arrive after it.
+  sim::Simulator sim;
+  OcsConfig c = base_config();
+  c.fabric_latency = 5_us;
+  OpticalCircuitSwitch ocs{sim, c};
+  ocs.reconfigure(schedulers::Matching::rotation(4, 1));
+  sim.run_until(1_us);
+
+  std::vector<Time> deliveries;
+  ocs.set_deliver_callback(
+      [&](const net::Packet&, net::PortId) { deliveries.push_back(sim.now()); });
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ocs.send(0, pkt(0, 1, 1500)).has_value());
+    sim.run_until(ocs.port_free_at(0));  // the wire is free again
+  }
+  const Time cut = sim.now();
+  ocs.reconfigure(schedulers::Matching::rotation(4, 2));
+  sim.run();
+  for (const Time t : deliveries) EXPECT_LE(t, cut);
+  EXPECT_EQ(deliveries.size() + ocs.stats().packets_cut_by_reconfig, 4u);
+  EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 4u);  // 4 x 1216 ns < 5 us
+}
+
 TEST(Ocs, CompletedPacketIsNotCut) {
   sim::Simulator sim;
   OpticalCircuitSwitch ocs{sim, base_config()};

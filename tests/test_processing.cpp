@@ -315,6 +315,120 @@ TEST(Processing, HostSkewShiftsLaunchTime) {
   EXPECT_EQ(rig.proc->stats().sync_losses + rig.ocs_delivered.size(), 1u);
 }
 
+// ---- one OCS service chain per input ---------------------------------------
+// A host may launch only when its OCS wire is free, inside its grant's
+// window; each input keeps at most one pending OCS wake-up.
+
+/// Host-buffered rig: `ingest` enqueues at once, so a burst lands in the
+/// VOQ at one instant.
+Rig host_rig_with_circuit(Time max_skew = Time::zero()) {
+  FrameworkConfig c = tor_config();
+  c.placement = BufferPlacement::kHost;
+  c.sync.max_skew = max_skew;
+  c.sync.seed = 12345;
+  return Rig{c};
+}
+
+/// Records each OCS delivery's real start of transmission (delivery time
+/// less serialisation and fabric propagation) in `starts`.
+void record_ocs_starts(Rig& rig, std::vector<Time>& starts) {
+  rig.ocs->set_deliver_callback([&rig, &starts](const net::Packet& p, net::PortId) {
+    const Time tx = rig.cfg.link_rate.transmission_time(p.size_bytes + sim::kWireOverheadBytes);
+    starts.push_back(rig.sim.now() - rig.cfg.ocs_fabric_latency - tx);
+    rig.ocs_delivered.push_back(p);
+  });
+}
+
+TEST(ProcessingOcsChain, BurstDuringOpenWindowKeepsOneChain) {
+  Rig rig = host_rig_with_circuit();
+  rig.ocs->reconfigure(schedulers::Matching::rotation(4, 1));
+  rig.sim.run_until(3_us);
+  rig.proc->ingest(pkt(0, 1, 1500));
+  rig.proc->handle_grants(ocs_grant(0, 1, 1'000'000, rig.sim.now(), rig.sim.now() + 1_ms));
+  // The first packet is on the wire: its delivery and the input's one
+  // wake-up are pending.
+  const std::size_t base = rig.sim.pending_events();
+  constexpr int kBurst = 20;
+  for (int i = 0; i < kBurst; ++i) rig.proc->ingest(pkt(0, 1, 1500));
+  // The wire is busy, so nothing may be dequeued and no chain may start.
+  EXPECT_LE(rig.sim.pending_events(), base + 2);
+  EXPECT_EQ(rig.proc->voqs().packets(0, 1), static_cast<std::size_t>(kBurst));
+  // As the chain advances, input 0 never has more outstanding than its one
+  // wake-up and two packets on the fabric (one serialising, one still
+  // propagating through the 100 ns fabric).
+  while (rig.sim.now() < 1_ms && rig.proc->voqs().packets(0, 1) > 0) {
+    rig.sim.run_until(rig.sim.now() + 100_ns);
+    EXPECT_LE(rig.sim.pending_events(), 3u);
+  }
+  rig.sim.run();
+  EXPECT_EQ(rig.ocs_delivered.size(), static_cast<std::size_t>(kBurst + 1));
+}
+
+TEST(ProcessingOcsChain, EveryTransmissionFitsItsWindowInTheHostClock) {
+  Rig rig = host_rig_with_circuit(5_us);
+  const Time offset = rig.sync->offset_of(0);
+  std::vector<Time> starts;
+  record_ocs_starts(rig, starts);
+  rig.ocs->reconfigure(schedulers::Matching::rotation(4, 1));
+  rig.sim.run_until(3_us);
+
+  // The window (in the host's clock) fits four 1216 ns transmissions.
+  const Time open = 50_us;
+  const Time until = open + 5'000_ns;
+  rig.proc->ingest(pkt(0, 1, 1500));
+  rig.proc->handle_grants(ocs_grant(0, 1, 1'000'000, open, until));
+  rig.sim.run_until(open + offset + 100_ns);
+  ASSERT_EQ(rig.proc->voqs().packets(0, 1), 0u);  // the first is on the wire
+  for (int i = 0; i < 10; ++i) rig.proc->ingest(pkt(0, 1, 1500));
+  rig.sim.run();
+
+  const Time tx = rig.cfg.link_rate.transmission_time(1500 + sim::kWireOverheadBytes);
+  ASSERT_EQ(starts.size(), 4u);
+  for (const Time s : starts) {
+    EXPECT_GE(s - offset, open);
+    EXPECT_LE(s - offset + tx, until);
+  }
+  EXPECT_EQ(rig.proc->voqs().packets(0, 1), 7u);  // the rest wait for a grant
+}
+
+TEST(ProcessingOcsChain, DepartureFiresAtTheRealStartOfTransmission) {
+  Rig rig = host_rig_with_circuit();
+  std::vector<Time> starts;
+  std::vector<Time> departures;
+  record_ocs_starts(rig, starts);
+  rig.proc->set_departure_callback(
+      [&](net::PortId, net::PortId, std::int64_t, Time at) { departures.push_back(at); });
+  rig.ocs->reconfigure(schedulers::Matching::rotation(4, 1));
+  rig.sim.run_until(3_us);
+
+  rig.proc->ingest(pkt(0, 1, 1500));
+  rig.proc->handle_grants(ocs_grant(0, 1, 1'000'000, rig.sim.now(), rig.sim.now() + 1_ms));
+  rig.sim.run_until(rig.sim.now() + 100_ns);
+  for (int i = 0; i < 5; ++i) rig.proc->ingest(pkt(0, 1, 1500));
+  rig.sim.run();
+
+  ASSERT_EQ(starts.size(), 6u);
+  EXPECT_EQ(departures, starts);
+}
+
+TEST(ProcessingOcsChain, SupersedingGrantIsServedFromItsOwnWindow) {
+  Rig rig = host_rig_with_circuit();
+  std::vector<Time> starts;
+  record_ocs_starts(rig, starts);
+  rig.ocs->reconfigure(schedulers::Matching::rotation(4, 1));
+  rig.sim.run_until(3_us);
+
+  rig.proc->ingest(pkt(0, 1, 1500));
+  // The first grant leaves a wake-up pending at its 50 us window; the
+  // second opens at 10 us and must not wait for it.
+  rig.proc->handle_grants(ocs_grant(0, 1, 10'000, 50_us, 150_us));
+  rig.proc->handle_grants(ocs_grant(0, 1, 10'000, 10_us, 150_us));
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // moved, not duplicated
+  rig.sim.run();
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_EQ(starts[0], 10_us);
+}
+
 TEST(Processing, StatsCountIngest) {
   Rig rig{tor_config()};
   rig.proc->ingest(pkt(0, 1, 1500));

@@ -190,6 +190,9 @@ TEST(ElephantPinner, ValidatesConfig) {
   bad.pin_threshold_bytes = 10;
   bad.unpin_threshold_bytes = 20;
   EXPECT_THROW(control::ElephantPinner(sim, sdn, voqs, bad), std::invalid_argument);
+  bad = {};
+  bad.rack = 256;
+  EXPECT_THROW(control::ElephantPinner(sim, sdn, voqs, bad), std::invalid_argument);
 }
 
 TEST(ElephantPinner, PinsAndUnpinsWithHysteresis) {
@@ -250,6 +253,32 @@ TEST(ElephantPinner, PinnedRuleRetargetsTrafficClass) {
   const net::Verdict v = cl.classify(probe, net::Verdict{1, net::TrafficClass::kBestEffort});
   EXPECT_EQ(v.tclass, net::TrafficClass::kThroughput);
   EXPECT_EQ(v.out_port, 1u);
+}
+
+TEST(ElephantPinner, RulesAddressTheirRacksHosts) {
+  // On fat-tree rack 1 the generators address hosts as 10.1.0.0/16 + port:
+  // the pin must match rack 1's pair, never rack 0's.
+  sim::Simulator sim;
+  net::Classifier cl;
+  control::SdnController sdn{cl};
+  queueing::VoqBank voqs{2, 2};
+  control::ElephantPinner::Config cfg{10_us, 1000, 100};
+  cfg.rack = 1;
+  control::ElephantPinner pinner{sim, sdn, voqs, cfg};
+  pinner.start(100_us);
+  net::Packet backlog;
+  backlog.src = 0;
+  backlog.dst = 1;
+  backlog.size_bytes = 2000;
+  (void)voqs.enqueue(0, backlog);
+  sim.run_until(15_us);
+  ASSERT_EQ(pinner.pinned_pairs(), 1u);
+
+  const net::Verdict fallback{1, net::TrafficClass::kBestEffort};
+  net::Packet rack1 = classified_packet(0x0a010000u, 0x0a010001u);
+  EXPECT_EQ(cl.classify(rack1, fallback).tclass, net::TrafficClass::kThroughput);
+  net::Packet rack0 = classified_packet(0x0a000000u, 0x0a000001u);
+  EXPECT_EQ(cl.classify(rack0, fallback).tclass, net::TrafficClass::kBestEffort);
 }
 
 TEST(ElephantPinner, EndToEndOnFramework) {
