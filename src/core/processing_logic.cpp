@@ -21,6 +21,16 @@ ProcessingLogic::ProcessingLogic(sim::Simulator& sim, const FrameworkConfig& cfg
       trace_{trace},
       voqs_{cfg.ports, cfg.ports, cfg.voq_limits},
       inputs_(cfg.ports) {
+  // Unbounded: the VOQ bank, not the wire, is where an input buffers.
+  const queueing::DrainQueue::Config wire{
+      cfg.eps_rate, 0,
+      cfg.placement == BufferPlacement::kHost ? cfg.link_latency : Time::zero(), false};
+  eps_wires_.reserve(cfg.ports);
+  for (net::PortId i = 0; i < cfg.ports; ++i) {
+    eps_wires_.emplace_back(wire);
+    eps_wires_.back().attach(
+        sim, [this](const net::Packet& p) { (void)eps_.send(p); }, [this, i] { pump_eps(i); });
+  }
   voqs_.set_status_callback(
       [this](net::PortId input, net::PortId output, queueing::VoqStatus status) {
         if (status != queueing::VoqStatus::kBecameNonEmpty) return;
@@ -61,7 +71,7 @@ void ProcessingLogic::ingest(const net::Packet& p) {
         // the packet switch (possible precisely because buffering and
         // forwarding happen inside the ToR in this placement).
         ++stats_.eps_bypass_packets;
-        send_eps_paced(pkt.src, pkt);
+        (void)eps_wires_[pkt.src].offer(pkt);
         return;
       }
       enqueue(pkt);
@@ -165,7 +175,7 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
     ++stats_.sync_losses;
     trace_.record(now, TraceCategory::kDrop, input, g.dst);
     if (cfg_.eps_fallback_on_miss) {
-      send_eps_paced(input, p);
+      (void)eps_wires_[input].offer(p);
     }
   }
   wake_ocs_at(input, st.ocs_tx_until);
@@ -192,14 +202,15 @@ void ProcessingLogic::cancel_ocs_wake(net::PortId input) {
 }
 
 void ProcessingLogic::pump_eps(net::PortId input) {
+  // A packet still serialising (granted, bypass or fallback) holds the wire.
+  if (eps_wires_[input].queue_packets() > 0) return;
   InputState& st = inputs_[input];
-  if (st.eps_pumping) return;
+  const Time now = sim_.now();
 
   // Retire exhausted / expired / empty-backlog grants.
   while (!st.eps_grants.empty()) {
     EpsGrant& eg = st.eps_grants.front();
-    const Time offset = host_offset(input);
-    const bool expired = (sim_.now() - offset) >= eg.grant.valid_until;
+    const bool expired = (now - host_offset(input)) >= eg.grant.valid_until;
     if (eg.remaining <= 0 || expired || voqs_.empty(input, eg.grant.dst)) {
       st.eps_grants.pop_front();
       continue;
@@ -211,28 +222,10 @@ void ProcessingLogic::pump_eps(net::PortId input) {
   EpsGrant& eg = st.eps_grants.front();
   net::Packet p = *voqs_.dequeue(input, eg.grant.dst);
   eg.remaining -= p.size_bytes;
-  if (departure_cb_) departure_cb_(input, eg.grant.dst, p.size_bytes, sim_.now());
-  trace_.record(sim_.now(), TraceCategory::kDequeue, input, eg.grant.dst);
+  if (departure_cb_) departure_cb_(input, eg.grant.dst, p.size_bytes, now);
+  trace_.record(now, TraceCategory::kDequeue, input, eg.grant.dst);
   ++stats_.granted_eps_packets;
-
-  st.eps_pumping = true;
-  const Time tx = cfg_.eps_rate.transmission_time(p.size_bytes + sim::kWireOverheadBytes);
-  const Time start = std::max(sim_.now(), st.eps_busy_until);
-  st.eps_busy_until = start + tx;
-  const Time link = cfg_.placement == BufferPlacement::kHost ? cfg_.link_latency : Time::zero();
-  sim_.schedule_at(start + tx + link, [this, input, p] {
-    eps_.send(p);
-    inputs_[input].eps_pumping = false;
-    pump_eps(input);
-  });
-}
-
-void ProcessingLogic::send_eps_paced(net::PortId input, const net::Packet& p) {
-  InputState& st = inputs_[input];
-  const Time tx = cfg_.eps_rate.transmission_time(p.size_bytes + sim::kWireOverheadBytes);
-  const Time start = std::max(sim_.now(), st.eps_busy_until);
-  st.eps_busy_until = start + tx;
-  sim_.schedule_at(start + tx, [this, p] { eps_.send(p); });
+  (void)eps_wires_[input].offer(p);
 }
 
 }  // namespace xdrs::core

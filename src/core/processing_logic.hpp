@@ -9,6 +9,10 @@
 // kToRSwitch the VOQ bank represents switch memory and grants act on-chip;
 // with kHost it represents per-host memory, grants arrive delayed, and
 // launch times suffer host clock skew (via the SyncModel).
+//
+// Each input reaches the EPS over one wire (a queueing::DrainQueue) shared
+// by bypass, miss-fallback and granted packets; granted ones leave the VOQ
+// only when the wire is empty, so an input keeps one EPS service chain.
 #ifndef XDRS_CORE_PROCESSING_LOGIC_HPP
 #define XDRS_CORE_PROCESSING_LOGIC_HPP
 
@@ -23,6 +27,7 @@
 #include "core/config.hpp"
 #include "net/classifier.hpp"
 #include "net/packet.hpp"
+#include "queueing/drain_queue.hpp"
 #include "queueing/voq.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -90,8 +95,6 @@ class ProcessingLogic {
     sim::EventId ocs_wake{};  ///< the chain's one pending wake-up, if valid
     sim::Time ocs_wake_at{};
     std::deque<EpsGrant> eps_grants;
-    bool eps_pumping{false};
-    sim::Time eps_busy_until{};
   };
 
   void enqueue(const net::Packet& p);
@@ -103,10 +106,9 @@ class ProcessingLogic {
   void wake_ocs_at(net::PortId input, sim::Time at);
   /// Drops the input's pending OCS wake-up: its grant is idle or over.
   void cancel_ocs_wake(net::PortId input);
+  /// Launches the head of the input's EPS grant onto its empty EPS wire;
+  /// the wire's idle hook calls it again.
   void pump_eps(net::PortId input);
-  /// Serialises `p` onto the electrical path of `input` and admits it to
-  /// the EPS; shared by granted traffic and the latency-sensitive bypass.
-  void send_eps_paced(net::PortId input, const net::Packet& p);
 
   /// Host clock offset for `input` (zero in ToR placement).
   [[nodiscard]] sim::Time host_offset(net::PortId input) const;
@@ -121,6 +123,7 @@ class ProcessingLogic {
 
   queueing::VoqBank voqs_;
   std::vector<InputState> inputs_;
+  std::vector<queueing::DrainQueue> eps_wires_;  ///< per input, into the EPS
   RequestCallback request_cb_;
   VoqEventCallback arrival_cb_;
   VoqEventCallback departure_cb_;

@@ -27,7 +27,6 @@ void SwitchingLogic::set_stage_timers(obs::Registry* reg) {
 void SwitchingLogic::configure(const schedulers::Matching& m, ReadyCallback on_ready,
                                bool wait_for_ready) {
   ++stats_.configurations_requested;
-  ++generation_;
   trace_.record(sim_.now(), sim::TraceCategory::kReconfigStart);
   if (wait_for_ready) {
     pending_ = std::move(on_ready);  // supersedes any in-flight callback

@@ -51,7 +51,6 @@ class SwitchingLogic {
   obs::Registry* obs_{nullptr};
   obs::Timer* t_reconfigure_{nullptr};
   ReadyCallback pending_;
-  std::uint64_t generation_{0};
   SwitchingStats stats_;
 };
 

@@ -1,28 +1,39 @@
-#include "topo/drain_queue.hpp"
+#include "queueing/drain_queue.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-namespace xdrs::topo {
+namespace xdrs::queueing {
+
+void DrainQueue::Lane::pop() noexcept {
+  if (2 * ++head >= items.size()) {
+    items.erase(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
 
 DrainQueue::DrainQueue(Config cfg) : cfg_{cfg} {
   if (cfg.rate.is_zero()) throw std::invalid_argument{"DrainQueue: rate must be positive"};
 }
 
-void DrainQueue::attach(sim::Simulator& sim, Sink sink) {
+void DrainQueue::attach(sim::Simulator& sim, Sink sink, IdleHook on_idle) {
   if (!sink) throw std::invalid_argument{"DrainQueue: null sink"};
   sim_ = &sim;
   sink_ = std::move(sink);
+  on_idle_ = std::move(on_idle);
 }
 
 bool DrainQueue::offer(const net::Packet& p) {
   if (sim_ == nullptr) throw std::logic_error{"DrainQueue: offer() before attach()"};
   if (cfg_.buffer_bytes > 0 && queue_bytes_ + p.size_bytes > cfg_.buffer_bytes) {
     ++drops_;
+    dropped_bytes_ += p.size_bytes;
     return false;
   }
-  queue_.push_back(p);
+  const bool priority =
+      cfg_.strict_priority && p.tclass == net::TrafficClass::kLatencySensitive;
+  lanes_[priority ? 1 : 0].items.push_back(p);
   queue_bytes_ += p.size_bytes;
   peak_queue_ = std::max(peak_queue_, queue_bytes_);
   if (!draining_) {
@@ -33,27 +44,30 @@ bool DrainQueue::offer(const net::Packet& p) {
 }
 
 void DrainQueue::drain() {
-  if (queue_.empty()) {
+  const std::size_t lane = lanes_[1].size() > 0 ? 1 : 0;
+  if (lanes_[lane].size() == 0) {
     draining_ = false;
     return;
   }
-  const net::Packet& head = queue_.front();
+  const net::Packet& head = lanes_[lane].items[lanes_[lane].head];
   const sim::Time tx = cfg_.rate.transmission_time(head.size_bytes + sim::kWireOverheadBytes);
-  sim_->schedule(tx, [this] {
+  sim_->schedule(tx, [this, lane] {
     // Timestamps are preserved: end-to-end latency spans this queue as well
     // as the fabrics either side of it.
-    const net::Packet out = queue_.front();
-    queue_.pop_front();
+    const net::Packet out = lanes_[lane].items[lanes_[lane].head];
+    lanes_[lane].pop();
     queue_bytes_ -= out.size_bytes;
     ++forwarded_packets_;
     forwarded_bytes_ += out.size_bytes;
+    if (lane == 1) ++priority_forwarded_;
     if (cfg_.latency.is_zero()) {
       sink_(out);
     } else {
       sim_->schedule(cfg_.latency, [this, out] { sink_(out); });
     }
     drain();
+    if (!draining_ && on_idle_) on_idle_();
   });
 }
 
-}  // namespace xdrs::topo
+}  // namespace xdrs::queueing

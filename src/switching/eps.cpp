@@ -5,89 +5,46 @@
 
 namespace xdrs::switching {
 
-ElectricalPacketSwitch::ElectricalPacketSwitch(sim::Simulator& sim, EpsConfig cfg)
-    : sim_{sim}, cfg_{cfg}, out_(cfg.ports) {
+ElectricalPacketSwitch::ElectricalPacketSwitch(sim::Simulator& sim, EpsConfig cfg) : cfg_{cfg} {
   if (cfg.ports == 0) throw std::invalid_argument{"EPS: ports must be >= 1"};
   if (cfg.port_rate.is_zero()) throw std::invalid_argument{"EPS: port rate must be positive"};
-}
-
-const net::Packet* ElectricalPacketSwitch::head_of(const OutPort& port) {
-  if (!port.prio_queue.empty()) return &port.prio_queue.front();
-  if (!port.queue.empty()) return &port.queue.front();
-  return nullptr;
+  const queueing::DrainQueue::Config qc{cfg.port_rate, cfg.buffer_bytes_per_port,
+                                        cfg.switching_latency, cfg.strict_priority};
+  out_.reserve(cfg.ports);
+  for (std::uint32_t o = 0; o < cfg.ports; ++o) {
+    out_.emplace_back(qc);
+    out_.back().attach(sim, [this](const net::Packet& p) {
+      if (deliver_cb_) deliver_cb_(p, p.dst);
+    });
+  }
 }
 
 bool ElectricalPacketSwitch::send(const net::Packet& p) {
   if (p.dst >= cfg_.ports) throw std::out_of_range{"EPS::send: bad destination"};
-  OutPort& port = out_[p.dst];
-
-  if (cfg_.buffer_bytes_per_port > 0 &&
-      port.bytes + p.size_bytes > cfg_.buffer_bytes_per_port) {
-    ++stats_.packets_dropped;
-    stats_.bytes_dropped += p.size_bytes;
-    return false;
-  }
-
-  const bool priority =
-      cfg_.strict_priority && p.tclass == net::TrafficClass::kLatencySensitive;
-  (priority ? port.prio_queue : port.queue).push_back(p);
-  port.bytes += p.size_bytes;
-  stats_.peak_queue_bytes = std::max(stats_.peak_queue_bytes, port.bytes);
-
-  if (!port.draining) {
-    port.draining = true;
-    // The fabric traversal happens once per packet ahead of the output
-    // queue; modelling it inside the drain loop keeps one event per packet.
-    drain(p.dst);
-  }
-  return true;
+  return out_[p.dst].offer(p);
 }
 
-void ElectricalPacketSwitch::drain(net::PortId outp) {
-  OutPort& port = out_[outp];
-  if (head_of(port) == nullptr) {
-    port.draining = false;
-    return;
+EpsStats ElectricalPacketSwitch::stats() const noexcept {
+  EpsStats s;
+  for (const queueing::DrainQueue& q : out_) {
+    s.packets_delivered += q.forwarded_packets();
+    s.bytes_delivered += q.forwarded_bytes();
+    s.packets_dropped += q.drops();
+    s.bytes_dropped += q.dropped_bytes();
+    s.peak_queue_bytes = std::max(s.peak_queue_bytes, q.peak_queue_bytes());
+    s.priority_packets_delivered += q.priority_forwarded();
   }
-  // The queue choice binds when serialisation starts: a priority packet
-  // arriving mid-drain overtakes queued normal traffic at the *next* wire
-  // slot but never preempts the packet on the wire.  The packet stays in
-  // its queue (and in the buffer accounting) until fully serialised —
-  // store-and-forward semantics.
-  const bool from_prio = !port.prio_queue.empty();
-  const net::Packet& head = from_prio ? port.prio_queue.front() : port.queue.front();
-  const sim::Time tx =
-      cfg_.port_rate.transmission_time(head.size_bytes + sim::kWireOverheadBytes);
-  // Serialisation paces the drain; fabric latency is pipelined on top and
-  // only delays the delivery signal, not the next packet.
-  sim_.schedule(tx, [this, outp, from_prio] {
-    OutPort& prt = out_[outp];
-    auto& q = from_prio ? prt.prio_queue : prt.queue;
-    const net::Packet done = q.front();
-    q.pop_front();
-    prt.bytes -= done.size_bytes;
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += done.size_bytes;
-    if (from_prio) ++stats_.priority_packets_delivered;
-    if (deliver_cb_) {
-      if (cfg_.switching_latency.is_zero()) {
-        deliver_cb_(done, done.dst);
-      } else {
-        sim_.schedule(cfg_.switching_latency, [this, done] { deliver_cb_(done, done.dst); });
-      }
-    }
-    drain(outp);
-  });
+  return s;
 }
 
 std::int64_t ElectricalPacketSwitch::queue_bytes(net::PortId outp) const {
   if (outp >= cfg_.ports) throw std::out_of_range{"EPS::queue_bytes"};
-  return out_[outp].bytes;
+  return out_[outp].queue_bytes();
 }
 
 std::size_t ElectricalPacketSwitch::queue_packets(net::PortId outp) const {
   if (outp >= cfg_.ports) throw std::out_of_range{"EPS::queue_packets"};
-  return out_[outp].queue.size() + out_[outp].prio_queue.size();
+  return out_[outp].queue_packets();
 }
 
 }  // namespace xdrs::switching

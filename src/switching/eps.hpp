@@ -4,16 +4,18 @@
 // short bursts" (paper §1).  Output queuing makes it work-conserving —
 // matching the role commodity ToR silicon plays in Helios/c-Through — while
 // per-output buffer limits expose the shallow-buffer reality the paper's
-// motivation leans on.
+// motivation leans on.  Each output port is one queueing::DrainQueue: its
+// buffer is the port's, it drains at the port rate, and the fabric
+// traversal is the link latency, pipelined behind serialisation.
 #ifndef XDRS_SWITCHING_EPS_HPP
 #define XDRS_SWITCHING_EPS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "queueing/drain_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
@@ -53,26 +55,14 @@ class ElectricalPacketSwitch {
   [[nodiscard]] std::int64_t queue_bytes(net::PortId out) const;
   [[nodiscard]] std::size_t queue_packets(net::PortId out) const;
 
-  [[nodiscard]] const EpsStats& stats() const noexcept { return stats_; }
+  /// Totals over the output ports' own counters.
+  [[nodiscard]] EpsStats stats() const noexcept;
   [[nodiscard]] const EpsConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct OutPort {
-    std::deque<net::Packet> queue;       ///< normal (or only) queue
-    std::deque<net::Packet> prio_queue;  ///< latency-sensitive, strict_priority mode
-    std::int64_t bytes{0};               ///< across both queues
-    bool draining{false};
-  };
-
-  void drain(net::PortId out);
-  /// Next packet to serialise on `port`, honouring priority; nullptr if idle.
-  [[nodiscard]] static const net::Packet* head_of(const OutPort& port);
-
-  sim::Simulator& sim_;
   EpsConfig cfg_;
-  std::vector<OutPort> out_;
+  std::vector<queueing::DrainQueue> out_;
   DeliverCallback deliver_cb_;
-  EpsStats stats_;
 };
 
 }  // namespace xdrs::switching

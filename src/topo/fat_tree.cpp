@@ -73,16 +73,13 @@ FatTree::FatTree(TopologySpec topo, core::FrameworkConfig tor)
 
   if (!topo_.multi_rack()) return;
 
-  DrainQueue::Config qc;
-  qc.rate = tor.link_rate;
-  qc.buffer_bytes = topo_.core_buffer_bytes;
-  qc.latency = topo_.core_latency;
+  const queueing::DrainQueue::Config qc{tor.link_rate, topo_.core_buffer_bytes,
+                                        topo_.core_latency};
   core_.reserve(static_cast<std::size_t>(uplink_ports_) * topo_.racks);
   for (std::uint32_t u = 0; u < uplink_ports_; ++u) {
     for (std::uint32_t r = 0; r < topo_.racks; ++r) {
-      auto q = std::make_unique<DrainQueue>(qc);
-      q->attach(sim_, [this, r](const net::Packet& p) { racks_[r]->reinject(p); });
-      core_.push_back(std::move(q));
+      core_.emplace_back(qc);
+      core_.back().attach(sim_, [this, r](const net::Packet& p) { racks_[r]->reinject(p); });
     }
   }
   for (auto& fw : racks_) {
@@ -100,7 +97,7 @@ void FatTree::route_uplink(const net::Packet& p) {
   net::Packet q = p;
   q.src = host_ports_ + u;  // ingress port at the destination ToR
   q.dst = p.final_dst;
-  core_[static_cast<std::size_t>(u) * topo_.racks + p.dst_rack]->offer(q);
+  (void)core_[static_cast<std::size_t>(u) * topo_.racks + p.dst_rack].offer(q);
 }
 
 core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(
@@ -154,7 +151,7 @@ std::vector<std::pair<std::string, const stats::TimeSeries*>> FatTree::tier_seri
 
 std::int64_t FatTree::core_queue_bytes() const noexcept {
   std::int64_t total = 0;
-  for (const auto& q : core_) total += q->queue_bytes();
+  for (const auto& q : core_) total += q.queue_bytes();
   return total;
 }
 
@@ -198,9 +195,9 @@ core::RunReport FatTree::run(sim::Time duration, sim::Time warmup) {
   base_core_bytes_ = 0;
   base_core_drops_ = 0;
   for (auto& q : core_) {
-    q->reset_peak();
-    base_core_bytes_ += q->forwarded_bytes();
-    base_core_drops_ += q->drops();
+    q.reset_peak();
+    base_core_bytes_ += q.forwarded_bytes();
+    base_core_drops_ += q.drops();
   }
   if (telemetry_) {
     // Resolve the sampling period: explicit, or ~256 samples across the
@@ -228,9 +225,9 @@ core::RunReport FatTree::run(sim::Time duration, sim::Time warmup) {
   std::uint64_t core_drops = 0;
   std::int64_t peak = 0;
   for (const auto& q : core_) {
-    core_bytes += q->forwarded_bytes();
-    core_drops += q->drops();
-    peak = std::max(peak, q->peak_queue_bytes());
+    core_bytes += q.forwarded_bytes();
+    core_drops += q.drops();
+    peak = std::max(peak, q.peak_queue_bytes());
   }
   fleet.core_link_bytes = core_bytes - base_core_bytes_;
   fleet.core_drops = core_drops - base_core_drops_;

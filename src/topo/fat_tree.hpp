@@ -12,7 +12,8 @@
 // uplink columns while rack-local traffic never leaves the switch.  The
 // core tier is modelled as one rate-limited FIFO per (core switch u,
 // destination rack r') — the core switch's downlink into that rack — with
-// configurable propagation latency and buffer (topo::DrainQueue).
+// configurable propagation latency and buffer: a queueing::DrainQueue, the
+// same link the ToRs' EPS ports and host EPS wires are built from.
 //
 // Placement is a pure function of (seed, rack, src, dst, flow): every
 // packet of a flow hashes to the same keep-local/go-remote decision, remote
@@ -36,9 +37,9 @@
 
 #include "core/framework.hpp"
 #include "obs/telemetry.hpp"
+#include "queueing/drain_queue.hpp"
 #include "sim/simulator.hpp"
 #include "stats/timeseries.hpp"
-#include "topo/drain_queue.hpp"
 
 namespace xdrs::topo {
 
@@ -153,7 +154,7 @@ class FatTree {
   sim::Simulator sim_;
   std::vector<std::unique_ptr<core::HybridSwitchFramework>> racks_;
   /// core_[u * racks + r]: core switch u's downlink FIFO into rack r.
-  std::vector<std::unique_ptr<DrainQueue>> core_;
+  std::vector<queueing::DrainQueue> core_;
 
   std::unique_ptr<obs::RunTelemetry> telemetry_;
   struct TierSeries {

@@ -1,6 +1,8 @@
-// Tests for topo::DrainQueue, the rate-limited FIFO the fat-tree core tier
-// is built from: the rate cap, the finite buffer, peak tracking, FIFO order
-// and propagation latency pipelined behind serialisation.
+// Tests for queueing::DrainQueue, the rate-limited FIFO every store-and-
+// forward hop is built from (EPS ports, host EPS wires, core downlinks):
+// the rate cap, the finite buffer, peak tracking, FIFO order, propagation
+// latency pipelined behind serialisation, the strict-priority lane and the
+// idle hook.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,9 +13,9 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
-#include "topo/drain_queue.hpp"
+#include "queueing/drain_queue.hpp"
 
-namespace xdrs::topo {
+namespace xdrs::queueing {
 namespace {
 
 using sim::DataRate;
@@ -184,5 +186,110 @@ TEST(DrainQueue, LatencyIsAddedAfterSerialisationAndPipelined) {
   }
 }
 
+TEST(DrainQueue, PriorityLaneOvertakesQueuedTrafficButNeverPreempts) {
+  sim::Simulator sim;
+  DrainQueue::Config c = config(DataRate::gbps(10), 0);
+  c.strict_priority = true;
+  DrainQueue q{c};
+  std::vector<std::uint64_t> order;
+  std::vector<Time> at;
+  q.attach(sim, [&](const net::Packet& p) {
+    order.push_back(p.id);
+    at.push_back(sim.now());
+  });
+  const auto urgent = [](std::uint64_t id) {
+    net::Packet p = packet(id, 200);
+    p.tclass = net::TrafficClass::kLatencySensitive;
+    return p;
+  };
+  ASSERT_TRUE(q.offer(packet(1)));  // on the wire at once
+  ASSERT_TRUE(q.offer(packet(2)));
+  // Both urgent packets arrive while packet 1 serialises.
+  sim.schedule(100_ns, [&] {
+    ASSERT_TRUE(q.offer(urgent(3)));
+    ASSERT_TRUE(q.offer(urgent(4)));
+  });
+  sim.run();
+
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 4, 2}));
+  const Time tx = DataRate::gbps(10).transmission_time(kPacketBytes + sim::kWireOverheadBytes);
+  const Time tx_urgent = DataRate::gbps(10).transmission_time(200 + sim::kWireOverheadBytes);
+  ASSERT_EQ(at.size(), 4u);
+  EXPECT_EQ(at[0], tx);  // packet 1 finished undisturbed
+  EXPECT_EQ(at[1], tx + tx_urgent);
+  EXPECT_EQ(at[2], tx + tx_urgent * 2);
+  EXPECT_EQ(at[3], tx * 2 + tx_urgent * 2);
+  EXPECT_EQ(q.priority_forwarded(), 2u);
+  EXPECT_EQ(q.forwarded_packets(), 4u);
+}
+
+TEST(DrainQueue, WithoutStrictPriorityUrgentPacketsKeepFifoOrder) {
+  sim::Simulator sim;
+  DrainQueue q{config(DataRate::gbps(10), 0)};
+  std::vector<std::uint64_t> order;
+  q.attach(sim, [&](const net::Packet& p) { order.push_back(p.id); });
+  net::Packet urgent = packet(3, 200);
+  urgent.tclass = net::TrafficClass::kLatencySensitive;
+  ASSERT_TRUE(q.offer(packet(1)));
+  ASSERT_TRUE(q.offer(packet(2)));
+  ASSERT_TRUE(q.offer(urgent));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(q.priority_forwarded(), 0u);
+}
+
+TEST(DrainQueue, IdleHookFiresOnceWhenTheLastPacketIsSerialisedBeforeItPropagates) {
+  sim::Simulator sim;
+  DrainQueue q{config(DataRate::gbps(10), 0, 5_us)};
+  std::vector<Time> idle_at;
+  std::vector<Time> delivered_at;
+  q.attach(
+      sim, [&](const net::Packet&) { delivered_at.push_back(sim.now()); },
+      [&] {
+        EXPECT_EQ(q.queue_packets(), 0u);
+        idle_at.push_back(sim.now());
+      });
+  for (std::uint64_t i = 1; i <= 3; ++i) ASSERT_TRUE(q.offer(packet(i)));
+  EXPECT_EQ(q.queue_packets(), 3u);
+  sim.run();
+
+  const Time tx = DataRate::gbps(10).transmission_time(kPacketBytes + sim::kWireOverheadBytes);
+  // One burst, one idle: at the end of the third serialisation, 5 us before
+  // that packet arrives downstream.
+  ASSERT_EQ(idle_at.size(), 1u);
+  EXPECT_EQ(idle_at[0], tx * 3);
+  ASSERT_EQ(delivered_at.size(), 3u);
+  EXPECT_EQ(delivered_at.back(), idle_at[0] + 5_us);
+
+  // A later packet starts a new busy period and ends it with a second idle.
+  ASSERT_TRUE(q.offer(packet(4)));
+  sim.run();
+  ASSERT_EQ(idle_at.size(), 2u);
+  EXPECT_EQ(idle_at[1], sim.now() - 5_us);
+}
+
+TEST(DrainQueue, IdleHookMayRefillTheQueue) {
+  // The hook is where a scheduler hands the wire its next packet: an offer
+  // from inside it starts the next serialisation at once.
+  sim::Simulator sim;
+  DrainQueue q{config(DataRate::gbps(10), 0, 5_us)};
+  std::vector<Time> delivered_at;
+  std::uint64_t next = 1;
+  q.attach(
+      sim, [&](const net::Packet&) { delivered_at.push_back(sim.now()); },
+      [&] {
+        if (next < 4) {
+          ASSERT_TRUE(q.offer(packet(++next)));
+        }
+      });
+  ASSERT_TRUE(q.offer(packet(next)));
+  sim.run();
+  const Time tx = DataRate::gbps(10).transmission_time(kPacketBytes + sim::kWireOverheadBytes);
+  ASSERT_EQ(delivered_at.size(), 4u);
+  for (std::size_t i = 0; i < delivered_at.size(); ++i) {
+    EXPECT_EQ(delivered_at[i], tx * static_cast<std::int64_t>(i + 1) + 5_us) << i;
+  }
+}
+
 }  // namespace
-}  // namespace xdrs::topo
+}  // namespace xdrs::queueing

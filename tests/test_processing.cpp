@@ -429,6 +429,63 @@ TEST(ProcessingOcsChain, SupersedingGrantIsServedFromItsOwnWindow) {
   EXPECT_EQ(starts[0], 10_us);
 }
 
+// ---- one EPS wire per input --------------------------------------------------
+// Granted, bypass and miss-fallback packets share the input's EPS wire, and
+// granted traffic leaves its VOQ only when that wire is empty.
+
+TEST(ProcessingEpsWire, HostGrantedPacketsStartBackToBack) {
+  // The wire is free again once the last bit is sent; the host link's
+  // propagation runs behind it and must not idle the wire.
+  FrameworkConfig c = tor_config();
+  c.placement = BufferPlacement::kHost;
+  Rig rig{c};
+  std::vector<Time> departures;
+  std::vector<Time> delivered_at;
+  rig.proc->set_departure_callback(
+      [&](net::PortId, net::PortId, std::int64_t, Time at) { departures.push_back(at); });
+  rig.eps->set_deliver_callback(
+      [&](const net::Packet&, net::PortId) { delivered_at.push_back(rig.sim.now()); });
+  constexpr int kPackets = 4;
+  for (int i = 0; i < kPackets; ++i) rig.proc->ingest(pkt(0, 2, 1500));
+  rig.sim.run_until(1_us);
+  rig.proc->handle_grants(eps_grant(0, 2, 100'000, rig.sim.now() + 1_ms));
+  rig.sim.run();
+
+  const Time tx = c.eps_rate.transmission_time(1500 + sim::kWireOverheadBytes);
+  ASSERT_EQ(departures.size(), static_cast<std::size_t>(kPackets));
+  ASSERT_EQ(delivered_at.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(departures[0], 1_us);
+  for (std::size_t k = 1; k < departures.size(); ++k) {
+    EXPECT_EQ(departures[k] - departures[k - 1], tx) << k;
+    EXPECT_EQ(delivered_at[k] - delivered_at[k - 1], tx) << k;
+  }
+  // Host wire, host link, EPS port serialisation, EPS fabric.
+  EXPECT_EQ(delivered_at[0], departures[0] + tx + c.link_latency + tx + c.eps_latency);
+}
+
+TEST(ProcessingEpsWire, GrantedDepartureWaitsForABypassPacketOnTheWire) {
+  Rig rig{tor_config()};
+  std::vector<Time> departures;
+  rig.proc->set_departure_callback(
+      [&](net::PortId, net::PortId, std::int64_t, Time at) { departures.push_back(at); });
+  rig.proc->ingest(pkt(0, 2, 1500));  // into VOQ (0, 2) at 500 ns
+  rig.sim.run_until(1_us);
+  // A latency-sensitive packet bypasses the VOQs and takes the wire at 1.5 us.
+  rig.proc->ingest(pkt(0, 1, 1500, net::TrafficClass::kLatencySensitive));
+  rig.sim.run_until(1_us + tor_config().link_latency + 100_ns);
+  rig.proc->handle_grants(eps_grant(0, 2, 10'000, rig.sim.now() + 1_ms));
+  EXPECT_EQ(rig.proc->voqs().packets(0, 2), 1u);  // the wire is busy
+  EXPECT_TRUE(departures.empty());
+  rig.sim.run();
+
+  const Time tx = rig.cfg.eps_rate.transmission_time(1500 + sim::kWireOverheadBytes);
+  ASSERT_EQ(departures.size(), 1u);
+  EXPECT_EQ(departures[0], 1_us + rig.cfg.link_latency + tx);
+  ASSERT_EQ(rig.eps_delivered.size(), 2u);
+  EXPECT_EQ(rig.eps_delivered[0].dst, 1u);
+  EXPECT_EQ(rig.eps_delivered[1].dst, 2u);
+}
+
 TEST(Processing, StatsCountIngest) {
   Rig rig{tor_config()};
   rig.proc->ingest(pkt(0, 1, 1500));

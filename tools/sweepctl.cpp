@@ -24,9 +24,7 @@
 // DIR as the result cache); a worker that dies stops heartbeating and its
 // points are stolen by the survivors after --ttl.  Because the simulator is
 // deterministic the merged artefact is byte-identical to a single-process
-// run no matter who computed what (CI-gated).  `run --hosts`/`run --k8s`
-// emit the ssh fan-out script / Kubernetes Job manifest for a fleet of such
-// workers.  `status` reports grid size, cache presence, shard-file coverage
+// run no matter who computed what (CI-gated).  `status` reports grid size, cache presence, shard-file coverage
 // and (with --leases) live/stale/requeued claims; `presets` sizes a fleet
 // from recorded per-point walls.  `gc` evicts cache entries older than
 // --keep-days.
@@ -82,12 +80,6 @@ int usage(const char* error = nullptr) {
                "                                shard/lease: writes a shard file for merge.\n"
                "                                --telemetry drops a per-point sidecar into DIR\n"
                "                                (artefacts stay byte-identical)\n"
-               "  run    --preset NAME --claim DIR (--hosts h1,h2,... | --k8s N) [--ttl S]\n"
-               "         [--out FILE]\n"
-               "                                emit the fleet recipe instead of running:\n"
-               "                                --hosts writes an ssh fan-out script,\n"
-               "                                --k8s N a Kubernetes Job manifest with\n"
-               "                                parallelism N (stdout when --out is absent)\n"
                "  merge  --preset NAME [--cache DIR | --claim DIR] --out FILE SHARD.json...\n"
                "                                reassemble shard files into the artefact,\n"
                "                                byte-identical to a single-process run; with\n"
@@ -129,10 +121,8 @@ struct Options {
   std::string policies;  // trace; empty = the scenario's default stack
   std::string source_spec;  // --source static:I/N | lease:DIR[:TTL]
   std::string claim_dir;    // --claim; sugar for --source lease:DIR
-  std::string hosts;        // --hosts h1,h2,...; emit ssh fan-out script
   exp::ShardOptions shard{};
   bool shard_given{false};
-  unsigned k8s_parallelism{0};  // --k8s N; emit a Job manifest
   double ttl_s{60.0};           // --ttl; lease TTL for --claim and --leases
   bool leases{false};           // status: lease-state report
   unsigned threads{0};
@@ -194,14 +184,6 @@ bool parse(int argc, char** argv, Options& opt) {
         opt.claim_dir = val;
       } else if (key == "--ttl") {
         if (!value() || !util::parse_number(val, opt.ttl_s) || opt.ttl_s <= 0.0) return false;
-      } else if (key == "--hosts") {
-        if (!value()) return false;
-        opt.hosts = val;
-      } else if (key == "--k8s") {
-        if (!value() || !util::parse_number(val, opt.k8s_parallelism) ||
-            opt.k8s_parallelism < 1) {
-          return false;
-        }
       } else if (key == "--leases") {
         opt.leases = true;
       } else if (key == "--cache") {
@@ -316,108 +298,6 @@ int cmd_presets(const Options& opt) {
   return 0;
 }
 
-// --------------------------------------------------------- fleet fan-out
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t comma = text.find(',', begin);
-    const std::string item =
-        text.substr(begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
-/// The ssh fan-out recipe for `run --hosts`: one elastic worker per host
-/// against the shared lease directory, shard files rsynced back, merge with
-/// cache backfill.  Emitted, not executed — the operator owns the fleet.
-std::string fanout_script(const Options& opt, const std::vector<std::string>& hosts) {
-  const std::string ttl = stats::format_double(opt.ttl_s);
-  std::string hosts_quoted;
-  for (const std::string& h : hosts) {
-    if (!hosts_quoted.empty()) hosts_quoted += ' ';
-    hosts_quoted += '\'' + h + '\'';
-  }
-  std::string s;
-  s += "#!/usr/bin/env bash\n";
-  s += "# Elastic sweep fan-out generated by:\n";
-  s += "#   sweepctl run --preset " + opt.preset + " --hosts " + opt.hosts + " --claim " +
-       opt.claim_dir + " --ttl " + ttl + "\n";
-  s += "# Assumes sweepctl on PATH on every host.  CLAIM on a shared filesystem\n";
-  s += "# lets workers steal from each other live; without one, each host runs\n";
-  s += "# its own lease dir as a plain cache and the rsync below merges them.\n";
-  s += "set -euo pipefail\n";
-  s += "PRESET='" + opt.preset + "'\n";
-  s += "CLAIM='" + opt.claim_dir + "'\n";
-  s += "TTL='" + ttl + "'\n";
-  s += "pids=()\n";
-  s += "for host in " + hosts_quoted + "; do\n";
-  s += "  ssh \"$host\" \"sweepctl run --preset '$PRESET' --claim '$CLAIM' --ttl '$TTL'";
-  s += " --out '$CLAIM/$host.shard.json'\" &\n";
-  s += "  pids+=(\"$!\")\n";
-  s += "done\n";
-  s += "for pid in \"${pids[@]}\"; do\n";
-  s += "  wait \"$pid\" || true  # a dead worker's points get requeued by the others\n";
-  s += "done\n";
-  s += "for host in " + hosts_quoted + "; do\n";
-  s += "  rsync -a \"$host:$CLAIM/\" \"$CLAIM/\"  # shard files + rsync-merged caches\n";
-  s += "done\n";
-  s += "sweepctl status --preset \"$PRESET\" --leases --claim \"$CLAIM\" --ttl \"$TTL\"\n";
-  s += "sweepctl merge --preset \"$PRESET\" --claim \"$CLAIM\" --out \"sweep-$PRESET.json\" \\\n";
-  s += "  \"$CLAIM\"/*.shard.json\n";
-  s += "echo \"merged into sweep-$PRESET.json\"\n";
-  return s;
-}
-
-/// The Kubernetes Job manifest for `run --k8s N`: N pods claiming from one
-/// PVC-mounted lease directory; a pod that dies is exactly the crash case
-/// the TTL requeue covers, so backoffLimit stays 0.
-std::string k8s_manifest(const Options& opt) {
-  const std::string n = std::to_string(opt.k8s_parallelism);
-  std::string s;
-  s += "# Elastic sweep fleet generated by:\n";
-  s += "#   sweepctl run --preset " + opt.preset + " --k8s " + n + " --claim " + opt.claim_dir +
-       "\n";
-  s += "apiVersion: batch/v1\n";
-  s += "kind: Job\n";
-  s += "metadata:\n";
-  s += "  name: sweep-" + opt.preset + "\n";
-  s += "spec:\n";
-  s += "  parallelism: " + n + "\n";
-  s += "  completions: " + n + "\n";
-  s += "  backoffLimit: 0\n";
-  s += "  template:\n";
-  s += "    spec:\n";
-  s += "      restartPolicy: Never\n";
-  s += "      containers:\n";
-  s += "        - name: worker\n";
-  s += "          image: xdrs/sweepctl:latest\n";
-  s += "          command:\n";
-  s += "            - sweepctl\n";
-  s += "            - run\n";
-  s += "            - --preset=" + opt.preset + "\n";
-  s += "            - --claim=" + opt.claim_dir + "\n";
-  s += "            - --ttl=" + stats::format_double(opt.ttl_s) + "\n";
-  s += "            - --out=" + opt.claim_dir + "/$(POD_NAME).shard.json\n";
-  s += "          env:\n";
-  s += "            - name: POD_NAME\n";
-  s += "              valueFrom:\n";
-  s += "                fieldRef:\n";
-  s += "                  fieldPath: metadata.name\n";
-  s += "          volumeMounts:\n";
-  s += "            - name: sweep-claim\n";
-  s += "              mountPath: " + opt.claim_dir + "\n";
-  s += "      volumes:\n";
-  s += "        - name: sweep-claim\n";
-  s += "          persistentVolumeClaim:\n";
-  s += "            claimName: sweep-claim\n";
-  return s;
-}
-
 /// Folds the --shard/--source/--claim sugar into one WorkSourceSpec;
 /// ExecutionPlan::resolved_source() stays the single validation path for
 /// field values, this only rejects contradictory flag combinations.
@@ -434,29 +314,6 @@ exp::WorkSourceSpec resolve_source_flags(const Options& opt) {
 }
 
 int cmd_run(const Options& opt) {
-  // Fleet-recipe emits: describe the elastic fleet instead of running it.
-  if (!opt.hosts.empty() || opt.k8s_parallelism != 0) {
-    if (!opt.hosts.empty() && opt.k8s_parallelism != 0) {
-      return usage("run: --hosts and --k8s are mutually exclusive");
-    }
-    if (opt.claim_dir.empty()) {
-      return usage("run: --hosts/--k8s need --claim DIR (the fleet's shared lease directory)");
-    }
-    const std::vector<std::string> hosts = split_csv(opt.hosts);
-    if (opt.k8s_parallelism == 0 && hosts.empty()) return usage("run: --hosts is empty");
-    const std::string doc =
-        opt.k8s_parallelism != 0 ? k8s_manifest(opt) : fanout_script(opt, hosts);
-    if (opt.out_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      write_file(opt.out_path, doc);
-      std::printf("wrote %s for preset %s to %s\n",
-                  opt.k8s_parallelism != 0 ? "k8s job manifest" : "ssh fan-out script",
-                  opt.preset.c_str(), opt.out_path.c_str());
-    }
-    return 0;
-  }
-
   if (opt.out_path.empty()) return usage("run: --out is required");
   const exp::WorkSourceSpec source = resolve_source_flags(opt);
   const bool lease = source.kind == exp::WorkSourceSpec::Kind::kLease;
