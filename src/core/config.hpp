@@ -89,6 +89,13 @@ struct FrameworkConfig {
   control::SyncConfig sync{};  ///< host clock skew / guard bands
 
   std::uint64_t seed{1};
+
+  /// From the end of a launch's serialisation to its delivery: the OCS
+  /// fabric, plus the host link when the VOQs sit at the hosts.
+  [[nodiscard]] sim::Time ocs_path_latency() const noexcept {
+    return placement == BufferPlacement::kHost ? ocs_fabric_latency + link_latency
+                                               : ocs_fabric_latency;
+  }
 };
 
 /// Aggregated outcome of one framework run.

@@ -25,10 +25,8 @@ HybridSwitchFramework::HybridSwitchFramework(FrameworkConfig cfg,
       sync_{cfg.ports, cfg.sync},
       ocs_{sim_,
            switching::OcsConfig{cfg.ports, cfg.link_rate, cfg.ocs_reconfig,
-                                cfg.placement == BufferPlacement::kHost
-                                    ? cfg.ocs_fabric_latency + cfg.link_latency
-                                    : cfg.ocs_fabric_latency,
-                                cfg.ocs_failure_prob, cfg.seed ^ 0xfa17ed}},
+                                cfg.ocs_path_latency(), cfg.ocs_failure_prob,
+                                cfg.seed ^ 0xfa17ed}},
       eps_{sim_, switching::EpsConfig{cfg.ports, cfg.eps_rate, cfg.eps_latency,
                                       cfg.eps_buffer_bytes, cfg.eps_strict_priority}},
       switching_{sim_, ocs_, trace_},

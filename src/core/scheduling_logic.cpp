@@ -102,15 +102,15 @@ void SchedulingLogic::decide_slotted() {
 
   const std::uint64_t epoch = ++epoch_counter_;
   const std::int64_t slot_capacity = cfg_.link_rate.bytes_in(cfg_.slot_time);
-  // Windows close at the slot boundary (measured from the decision), so a
-  // straggling transmission can never collide with the next slot's
-  // reconfiguration — except through host clock skew, which is the point
-  // of the synchronisation experiments.
-  const Time slot_end = sim_.now() + cfg_.slot_time;
-  sim_.schedule(b.total(), [this, m = std::move(m), epoch, slot_capacity, slot_end] {
+  // Windows close one OCS path latency before the slot boundary (measured
+  // from the decision), so the last packet has left the fabric before the
+  // next slot's reconfiguration can cut it — except through host clock
+  // skew, which is the point of the synchronisation experiments.
+  const Time window_end = sim_.now() + cfg_.slot_time - cfg_.ocs_path_latency();
+  sim_.schedule(b.total(), [this, m = std::move(m), epoch, slot_capacity, window_end] {
     switching_.configure(
         *m,
-        [this, m, epoch, slot_capacity, slot_end](Time up) {
+        [this, m, epoch, slot_capacity, window_end](Time up) {
           control::GrantSet gs;
           gs.epoch = epoch;
           gs.computed_at = up;
@@ -122,7 +122,7 @@ void SchedulingLogic::decide_slotted() {
             g.bytes = slot_capacity;
             g.via = control::FabricPath::kOcs;
             g.valid_from = up + guard;
-            g.valid_until = slot_end - guard;
+            g.valid_until = window_end - guard;
             if (g.valid_until > g.valid_from) gs.grants.push_back(g);
           });
           if (grant_cb_ && !gs.grants.empty()) grant_cb_(gs);
@@ -221,7 +221,9 @@ void SchedulingLogic::run_plan_slot(std::shared_ptr<schedulers::CircuitPlan> pla
           g.bytes = s.weight_bytes;
           g.via = control::FabricPath::kOcs;
           g.valid_from = up + guard;
-          g.valid_until = std::min(up + hold, deadline) - guard;
+          // The next slot retunes at up + hold: close the window early
+          // enough for the last packet to clear the fabric.
+          g.valid_until = std::min(up + hold, deadline) - cfg_.ocs_path_latency() - guard;
           if (g.valid_until > g.valid_from) gs.grants.push_back(g);
         });
         if (grant_cb_ && !gs.grants.empty()) grant_cb_(gs);

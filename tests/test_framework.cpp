@@ -92,6 +92,28 @@ TEST(Framework, ConservationOfPackets) {
   EXPECT_LE(r.delivered_packets, r.offered_packets);
 }
 
+TEST(Framework, SlottedWindowsEndBeforeTheNextRetuneCutsAPacket) {
+  // Saturated permutation pairs under islip:1: the hardware decision
+  // (62.6 ns) is shorter than the 100 ns fabric, so a window that closed at
+  // the slot boundary would leave its last packet in the fabric when the
+  // next slot retunes.
+  for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
+    FrameworkConfig c = slotted(8);
+    c.placement = placement;
+    c.slot_time = 12'500_ns;
+    HybridSwitchFramework fw{c};
+    fw.set_policies(PolicyStack{}.with_matcher("islip:1"));
+    topo::WorkloadSpec spec;
+    spec.kind = topo::WorkloadSpec::Kind::kPermutation;
+    spec.load = 0.95;
+    topo::attach_workload(fw, spec);
+    const RunReport r = fw.run(1_ms, 200_us);
+    EXPECT_GT(r.reconfigurations, 50u);
+    EXPECT_GT(r.ocs_bytes, 0);
+    EXPECT_EQ(r.reconfig_cuts, 0u) << to_string(placement) << ": " << r.summary();
+  }
+}
+
 TEST(Framework, OcsCarriesElephantsEpsCarriesResidual) {
   FrameworkConfig c = fast_hybrid();
   HybridSwitchFramework fw{c};

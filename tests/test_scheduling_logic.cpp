@@ -3,6 +3,7 @@
 // model application and plan supersession.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -220,6 +221,37 @@ TEST(SchedulingLogic, HybridSlotsAreSequential) {
   for (std::size_t i = 1; i < windows.size(); ++i) {
     if (windows[i].first == windows[i - 1].first) continue;  // same slot
     EXPECT_GE(windows[i].first, windows[i - 1].second);
+  }
+}
+
+TEST(SchedulingLogic, HybridWindowsLetTheLastPacketClearTheFabric) {
+  // The next slot retunes as soon as this one's hold ends: each window must
+  // close a whole OCS path latency (the fabric, plus the host link in host
+  // placement) before that retune, or its last packet is cut.
+  for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
+    FrameworkConfig c = hybrid_config();
+    c.placement = placement;
+    Rig rig{c};
+    schedulers::SolsticeConfig sc;
+    rig.sched->set_circuit_scheduler(std::make_unique<schedulers::SolsticeScheduler>(sc));
+    rig.sched->on_arrival(0, 1, 100'000, Time::zero());
+    rig.sched->on_arrival(1, 2, 60'000, Time::zero());
+    rig.sched->on_arrival(2, 0, 20'000, Time::zero());
+    rig.sched->start();
+    rig.sim.run_until(900_us);
+
+    std::vector<std::pair<Time, Time>> windows;
+    for (const auto& g : rig.grants) {
+      if (g.via == control::FabricPath::kOcs) windows.emplace_back(g.valid_from, g.valid_until);
+    }
+    std::sort(windows.begin(), windows.end());
+    windows.erase(std::unique(windows.begin(), windows.end()), windows.end());
+    ASSERT_GE(windows.size(), 2u);
+    for (std::size_t i = 1; i < windows.size(); ++i) {
+      const Time next_retune = windows[i].first - c.ocs_reconfig;  // no guard band
+      EXPECT_LE(windows[i - 1].second + c.ocs_path_latency(), next_retune)
+          << to_string(placement) << " slot " << i;
+    }
   }
 }
 
