@@ -24,12 +24,12 @@ ProcessingLogic::ProcessingLogic(sim::Simulator& sim, const FrameworkConfig& cfg
   // Unbounded: the VOQ bank, not the wire, is where an input buffers.
   const queueing::DrainQueue::Config wire{
       cfg.eps_rate, 0,
-      cfg.placement == BufferPlacement::kHost ? cfg.link_latency : Time::zero(), false};
+      cfg.placement == BufferPlacement::kHost ? cfg.link_latency : Time::zero()};
   eps_wires_.reserve(cfg.ports);
   for (net::PortId i = 0; i < cfg.ports; ++i) {
     eps_wires_.emplace_back(wire);
     eps_wires_.back().attach(
-        sim, [this](const net::Packet& p) { (void)eps_.send(p); }, [this, i] { pump_eps(i); });
+        sim, [this](const net::Packet& p) { eps_.send(p); }, [this, i] { pump_eps(i); });
   }
   voqs_.set_status_callback(
       [this](net::PortId input, net::PortId output, queueing::VoqStatus status) {
@@ -71,7 +71,7 @@ void ProcessingLogic::ingest(const net::Packet& p) {
         // the packet switch (possible precisely because buffering and
         // forwarding happen inside the ToR in this placement).
         ++stats_.eps_bypass_packets;
-        (void)eps_wires_[pkt.src].offer(pkt);
+        eps_wires_[pkt.src].offer(pkt);
         return;
       }
       enqueue(pkt);
@@ -175,7 +175,7 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
     ++stats_.sync_losses;
     trace_.record(now, TraceCategory::kDrop, input, g.dst);
     if (cfg_.eps_fallback_on_miss) {
-      (void)eps_wires_[input].offer(p);
+      eps_wires_[input].offer(p);
     }
   }
   wake_ocs_at(input, st.ocs_tx_until);
@@ -225,7 +225,7 @@ void ProcessingLogic::pump_eps(net::PortId input) {
   if (departure_cb_) departure_cb_(input, eg.grant.dst, p.size_bytes, now);
   trace_.record(now, TraceCategory::kDequeue, input, eg.grant.dst);
   ++stats_.granted_eps_packets;
-  (void)eps_wires_[input].offer(p);
+  eps_wires_[input].offer(p);
 }
 
 }  // namespace xdrs::core

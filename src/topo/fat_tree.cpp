@@ -97,7 +97,7 @@ void FatTree::route_uplink(const net::Packet& p) {
   net::Packet q = p;
   q.src = host_ports_ + u;  // ingress port at the destination ToR
   q.dst = p.final_dst;
-  (void)core_[static_cast<std::size_t>(u) * topo_.racks + p.dst_rack].offer(q);
+  core_[static_cast<std::size_t>(u) * topo_.racks + p.dst_rack].offer(q);
 }
 
 core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(

@@ -223,21 +223,6 @@ TEST(DrainQueue, PriorityLaneOvertakesQueuedTrafficButNeverPreempts) {
   EXPECT_EQ(q.forwarded_packets(), 4u);
 }
 
-TEST(DrainQueue, WithoutStrictPriorityUrgentPacketsKeepFifoOrder) {
-  sim::Simulator sim;
-  DrainQueue q{config(DataRate::gbps(10), 0)};
-  std::vector<std::uint64_t> order;
-  q.attach(sim, [&](const net::Packet& p) { order.push_back(p.id); });
-  net::Packet urgent = packet(3, 200);
-  urgent.tclass = net::TrafficClass::kLatencySensitive;
-  ASSERT_TRUE(q.offer(packet(1)));
-  ASSERT_TRUE(q.offer(packet(2)));
-  ASSERT_TRUE(q.offer(urgent));
-  sim.run();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(q.priority_forwarded(), 0u);
-}
-
 TEST(DrainQueue, IdleHookFiresOnceWhenTheLastPacketIsSerialisedBeforeItPropagates) {
   sim::Simulator sim;
   DrainQueue q{config(DataRate::gbps(10), 0, 5_us)};
@@ -266,29 +251,6 @@ TEST(DrainQueue, IdleHookFiresOnceWhenTheLastPacketIsSerialisedBeforeItPropagate
   sim.run();
   ASSERT_EQ(idle_at.size(), 2u);
   EXPECT_EQ(idle_at[1], sim.now() - 5_us);
-}
-
-TEST(DrainQueue, IdleHookMayRefillTheQueue) {
-  // The hook is where a scheduler hands the wire its next packet: an offer
-  // from inside it starts the next serialisation at once.
-  sim::Simulator sim;
-  DrainQueue q{config(DataRate::gbps(10), 0, 5_us)};
-  std::vector<Time> delivered_at;
-  std::uint64_t next = 1;
-  q.attach(
-      sim, [&](const net::Packet&) { delivered_at.push_back(sim.now()); },
-      [&] {
-        if (next < 4) {
-          ASSERT_TRUE(q.offer(packet(++next)));
-        }
-      });
-  ASSERT_TRUE(q.offer(packet(next)));
-  sim.run();
-  const Time tx = DataRate::gbps(10).transmission_time(kPacketBytes + sim::kWireOverheadBytes);
-  ASSERT_EQ(delivered_at.size(), 4u);
-  for (std::size_t i = 0; i < delivered_at.size(); ++i) {
-    EXPECT_EQ(delivered_at[i], tx * static_cast<std::int64_t>(i + 1) + 5_us) << i;
-  }
 }
 
 }  // namespace
