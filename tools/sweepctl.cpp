@@ -24,10 +24,10 @@
 // DIR as the result cache); a worker that dies stops heartbeating and its
 // points are stolen by the survivors after --ttl.  Because the simulator is
 // deterministic the merged artefact is byte-identical to a single-process
-// run no matter who computed what (CI-gated).  `status` reports grid size, cache presence, shard-file coverage
-// and (with --leases) live/stale/requeued claims; `presets` sizes a fleet
-// from recorded per-point walls.  `gc` evicts cache entries older than
-// --keep-days.
+// run no matter who computed what (CI-gated).  `status` reports grid size,
+// cache presence, shard-file coverage and (with --leases) live/stale/
+// requeued claims; `presets` sizes a fleet from recorded per-point walls.
+// `gc` evicts cache entries older than --keep-days.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -48,7 +48,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "stats/json.hpp"
-#include "stats/serialize.hpp"
 #include "util/file_io.hpp"
 #include "util/parse.hpp"
 
