@@ -1,7 +1,7 @@
 // E3a — wall-clock compute cost of each scheduling algorithm vs port count
 // (google-benchmark microbenchmark), plus the steady-state zero-allocation
-// gate CI runs (`--alloc-check`, which also covers the event engine and the
-// VOQ bank), plus a
+// gate CI runs (`--alloc-check`, which also covers the allocation-free
+// circuit planners, the event engine and the VOQ bank), plus a
 // self-contained timing mode
 // (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
 // before/after comparisons are recorded, not copy-pasted.
@@ -202,11 +202,51 @@ bool voq_alloc_check() {
   return ok;
 }
 
+/// The planner half of `--alloc-check`: circuit_scheduler.hpp promises
+/// that solstice and cthrough plan without heap allocation once their
+/// workspaces and the recycled plan have grown to the demand's shape.  Each
+/// planner is warmed on a rotation of demands of one shape, whose plans
+/// have different slot counts, then allocations are counted over further
+/// rotations of plan_into.  (bvn and tms allocate per decomposition term
+/// by design, so they are not gated.)
+bool planner_alloc_check(std::uint32_t ports) {
+  constexpr const char* kPlanners[] = {"solstice", "solstice:0", "solstice:1.5", "cthrough"};
+  constexpr double kDensities[] = {0.5, 0.05, 0.9, 0.2};
+  constexpr int kWarmupRotations = 4;
+  constexpr int kMeasuredRotations = 8;
+
+  std::vector<demand::DemandMatrix> demands;
+  for (const double density : kDensities) {
+    demands.push_back(random_demand(ports, demands.size() + 11, density));
+  }
+  // One microsecond of a 10 Gbps port: the bytes a reconfiguration costs.
+  const schedulers::PolicyContext ctx{.ports = ports, .seed = 42, .reconfig_cost_bytes = 1'250};
+  std::printf("steady-state heap allocations per %d plans (%u ports):\n",
+              kMeasuredRotations * static_cast<int>(demands.size()), ports);
+  bool ok = true;
+  for (const char* spec : kPlanners) {
+    auto planner = schedulers::PolicyRegistry::instance().make_circuit(spec, ctx);
+    schedulers::CircuitPlan plan;
+    for (int i = 0; i < kWarmupRotations; ++i) {
+      for (const auto& d : demands) planner->plan_into(d, plan);
+    }
+    const std::uint64_t before = bench::heap_allocs();
+    for (int i = 0; i < kMeasuredRotations; ++i) {
+      for (const auto& d : demands) planner->plan_into(d, plan);
+    }
+    const std::uint64_t allocs = bench::heap_allocs() - before;
+    ok = ok && allocs == 0;
+    std::printf("  %-12s %-18s %8llu %s\n", spec, planner->name().c_str(),
+                static_cast<unsigned long long>(allocs), allocs == 0 ? "OK" : "FAIL");
+  }
+  return ok;
+}
+
 /// `--alloc-check`: for every registered matcher spec, warm the decision
 /// loop, then count heap allocations over a steady-state window; then do the
-/// same for the event engine (engine_alloc_check) and the VOQ bank
-/// (voq_alloc_check).  Any allocation is a
-/// regression of the allocation-free hot-path contract.
+/// same for the allocation-free circuit planners (planner_alloc_check), the
+/// event engine (engine_alloc_check) and the VOQ bank (voq_alloc_check).
+/// Any allocation is a regression of the allocation-free hot-path contract.
 /// Run at 48, 64 AND 128 ports: 48 is the 2-rack fat-tree ToR shape (32
 /// host ports + 16 uplinks at 2:1 oversubscription) — a non-power-of-two
 /// count the topology path schedules every epoch — while 64/128 prove the
@@ -248,16 +288,20 @@ int alloc_check() {
                   static_cast<unsigned long long>(allocs), ok ? "OK" : "FAIL");
     }
   }
+  bool planners_ok = true;
+  for (const std::uint32_t ports : kPortCounts) {
+    planners_ok = planner_alloc_check(ports) && planners_ok;
+  }
   const bool engine_ok = engine_alloc_check();
   const bool voq_ok = voq_alloc_check();
-  if (failures > 0 || !engine_ok || !voq_ok) {
-    std::fprintf(stderr, "alloc-check: %d matcher config(s)%s%s allocate in steady state\n",
-                 failures, engine_ok ? "" : ", the event engine",
-                 voq_ok ? "" : ", the VOQ bank");
+  if (failures > 0 || !planners_ok || !engine_ok || !voq_ok) {
+    std::fprintf(stderr, "alloc-check: %d matcher config(s)%s%s%s allocate in steady state\n",
+                 failures, planners_ok ? "" : ", a circuit planner",
+                 engine_ok ? "" : ", the event engine", voq_ok ? "" : ", the VOQ bank");
     return 1;
   }
-  std::printf("alloc-check: all matchers, the event engine and the VOQ bank run "
-              "allocation-free in steady state\n");
+  std::printf("alloc-check: all matchers, the solstice and cthrough planners, the event engine "
+              "and the VOQ bank run allocation-free in steady state\n");
   return 0;
 }
 

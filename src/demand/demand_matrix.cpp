@@ -124,9 +124,26 @@ std::int64_t DemandMatrix::max_element() const {
 }
 
 std::int64_t DemandMatrix::max_line_sum() const {
+  std::vector<std::int64_t> rows, cols;
+  return line_sums(rows, cols);
+}
+
+std::int64_t DemandMatrix::line_sums(std::vector<std::int64_t>& rows,
+                                     std::vector<std::int64_t>& cols) const {
+  rows.assign(inputs_, 0);
+  cols.assign(outputs_, 0);
   std::int64_t best = 0;
-  for (std::uint32_t i = 0; i < inputs_; ++i) best = std::max(best, row_sum(i));
-  for (std::uint32_t j = 0; j < outputs_; ++j) best = std::max(best, col_sum(j));
+  for (std::uint32_t i = 0; i < inputs_; ++i) {
+    const std::int64_t* row = row_data(i);
+    std::int64_t s = 0;
+    for (std::uint32_t j = 0; j < outputs_; ++j) {
+      s += row[j];
+      cols[j] += row[j];
+    }
+    rows[i] = s;
+    best = std::max(best, s);
+  }
+  for (const std::int64_t s : cols) best = std::max(best, s);
   return best;
 }
 

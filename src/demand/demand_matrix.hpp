@@ -75,6 +75,11 @@ class DemandMatrix {
   /// must cover (the matrix "fits" in that many service units).
   [[nodiscard]] std::int64_t max_line_sum() const;
 
+  /// Every row sum into `rows` and every column sum into `cols`, in one
+  /// row-major pass (both are resized; recycled buffers stay off the heap).
+  /// Returns the largest of them, max_line_sum().
+  std::int64_t line_sums(std::vector<std::int64_t>& rows, std::vector<std::int64_t>& cols) const;
+
   [[nodiscard]] std::size_t nonzero_count() const;
 
   // ---- support bitmap views (matcher kernel hot path) ---------------------

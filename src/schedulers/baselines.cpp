@@ -8,13 +8,13 @@ namespace xdrs::schedulers {
 void CThroughScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& out) {
   out.residual.copy_from(dem);
   if (dem.total() == 0) {
-    out.slots.clear();
+    out.truncate(0);
     return;
   }
 
   hungarian_.compute_into(dem, day_);
   if (day_.empty()) {
-    out.slots.clear();
+    out.truncate(0);
     return;
   }
 
@@ -30,7 +30,7 @@ void CThroughScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& 
     slot.configuration.match(i, j);
     out.residual.subtract_clamped(i, j, w);
   });
-  out.slots.resize(1);
+  out.truncate(1);
 }
 
 TmsScheduler::TmsScheduler(std::size_t max_days) : max_days_{max_days}, inner_{max_days} {

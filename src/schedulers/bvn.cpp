@@ -8,14 +8,15 @@
 namespace xdrs::schedulers {
 namespace {
 
-/// Northwest-corner slack: a non-negative matrix with prescribed row sums
-/// `r` and column sums `c` (sum(r) == sum(c)).
-demand::DemandMatrix build_slack(const demand::DemandMatrix& dem, std::int64_t phi) {
+/// Northwest-corner slack: the non-negative matrix that lifts every row and
+/// column sum of `dem` to its largest line sum phi.
+demand::DemandMatrix build_slack(const demand::DemandMatrix& dem) {
   const std::uint32_t n = dem.inputs();
   demand::DemandMatrix slack{n, n};
-  std::vector<std::int64_t> r(n), c(n);
-  for (std::uint32_t i = 0; i < n; ++i) r[i] = phi - dem.row_sum(i);
-  for (std::uint32_t j = 0; j < n; ++j) c[j] = phi - dem.col_sum(j);
+  std::vector<std::int64_t> r, c;
+  const std::int64_t phi = dem.line_sums(r, c);
+  for (std::int64_t& s : r) s = phi - s;
+  for (std::int64_t& s : c) s = phi - s;
   std::uint32_t i = 0, j = 0;
   while (i < n && j < n) {
     const std::int64_t s = std::min(r[i], c[j]);
@@ -38,18 +39,20 @@ BvnResult bvn_decompose(const demand::DemandMatrix& dem, std::size_t max_terms) 
   BvnResult result;
   if (dem.total() == 0) return result;
 
-  demand::DemandMatrix real = dem;                       // remaining true demand
-  const std::int64_t phi = dem.max_line_sum();
-  demand::DemandMatrix slack = build_slack(dem, phi);    // remaining padding
+  demand::DemandMatrix real = dem;                  // remaining true demand
+  demand::DemandMatrix slack = build_slack(dem);    // remaining padding
 
   HopcroftKarp hk{n, n};
   while (real.total() > 0 && (max_terms == 0 || result.terms.size() < max_terms)) {
     // Perfect matching on the support of real + slack.  The padded matrix
     // has all line sums equal, so Birkhoff guarantees one exists.
-    hk.clear_edges();
     for (std::uint32_t i = 0; i < n; ++i) {
+      const std::int64_t* r = real.row_data(i);
+      const std::int64_t* s = slack.row_data(i);
+      std::uint64_t* row = hk.row(i);
+      std::fill(row, row + hk.words_per_row(), 0);
       for (std::uint32_t j = 0; j < n; ++j) {
-        if (real.at(i, j) + slack.at(i, j) > 0) hk.add_edge(i, j);
+        if (r[j] + s[j] > 0) row[j / 64u] |= std::uint64_t{1} << (j % 64u);
       }
     }
     const std::uint32_t size = hk.solve();

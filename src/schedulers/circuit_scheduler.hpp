@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
@@ -26,8 +27,9 @@ struct CircuitSlot {
 /// A full plan for one scheduling epoch.
 ///
 /// Plans are recyclable: plan_into implementations claim slots through
-/// reuse_slot() and refresh `residual` with DemandMatrix::copy_from, so an
-/// epoch whose shape matches the previous one reuses every buffer.
+/// reuse_slot(), drop the rest with truncate() and refresh `residual` with
+/// DemandMatrix::copy_from, so an epoch whose shape matches an earlier one
+/// reuses every buffer, whatever its slot count.
 struct CircuitPlan {
   std::vector<CircuitSlot> slots;
   demand::DemandMatrix residual;  ///< demand left for the EPS
@@ -36,7 +38,14 @@ struct CircuitPlan {
   /// the slot's configuration to `inputs` x `outputs` and zeroes its weight
   /// — reusing the allocations of a previous epoch's slot when present.
   CircuitSlot& reuse_slot(std::size_t k, std::uint32_t inputs, std::uint32_t outputs) {
-    if (slots.size() <= k) slots.resize(k + 1);
+    while (slots.size() <= k) {
+      if (spare_.empty()) {
+        slots.emplace_back();
+      } else {
+        slots.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+      }
+    }
     CircuitSlot& s = slots[k];
     s.configuration.reset(inputs, outputs);
     s.weight_bytes = 0;
@@ -44,6 +53,16 @@ struct CircuitPlan {
   }
   CircuitSlot& reuse_slot(std::size_t k, std::uint32_t ports) {
     return reuse_slot(k, ports, ports);
+  }
+
+  /// Keeps the first `count` slots.  The dropped ones are set aside with
+  /// their buffers for reuse_slot, so a plan with fewer slots than the last
+  /// one frees nothing and a later, longer one allocates nothing.
+  void truncate(std::size_t count) {
+    while (slots.size() > count) {
+      spare_.push_back(std::move(slots.back()));
+      slots.pop_back();
+    }
   }
 
   /// Total bytes the plan routes over circuits (weight x pairs per slot).
@@ -54,6 +73,9 @@ struct CircuitPlan {
     }
     return total;
   }
+
+ private:
+  std::vector<CircuitSlot> spare_;  ///< slots truncate() set aside
 };
 
 class CircuitScheduler {
@@ -67,8 +89,9 @@ class CircuitScheduler {
   ///
   /// Hot-path entry point: implementations keep per-instance workspaces so
   /// that steady-state calls with a stable `dem` shape and a recycled `out`
-  /// avoid per-epoch heap allocation (solstice/cthrough honour this; the
-  /// bvn-backed planners allocate per decomposition term by nature).
+  /// avoid per-epoch heap allocation (solstice/cthrough honour this, and
+  /// `bench_matching_compute --alloc-check` gates it; the bvn-backed
+  /// planners allocate per decomposition term by nature).
   virtual void plan_into(const demand::DemandMatrix& dem, CircuitPlan& out) = 0;
 
   /// By-value convenience wrapper over plan_into (tests, examples).

@@ -6,6 +6,11 @@
 //    starvation-free), and
 //  * the perfect-matching engine inside the Birkhoff–von-Neumann
 //    decomposition and the Solstice-style circuit scheduler.
+//
+// Adjacency is a bitset: one row of uint64_t words per left vertex, right r
+// at bit r % 64 of word r / 64.  Rows are visited lowest bit first, so the
+// augmenting-path search tries rights in ascending order, and the matching
+// depends only on the edge set, never on the order edges were added in.
 #ifndef XDRS_SCHEDULERS_HOPCROFT_KARP_HPP
 #define XDRS_SCHEDULERS_HOPCROFT_KARP_HPP
 
@@ -21,6 +26,7 @@ class HopcroftKarp {
  public:
   HopcroftKarp(std::uint32_t left_count, std::uint32_t right_count);
 
+  /// Sets edge (left, right); adding an edge twice is a no-op.
   void add_edge(std::uint32_t left, std::uint32_t right);
   void clear_edges();
 
@@ -29,7 +35,17 @@ class HopcroftKarp {
   /// instance serve every epoch of a circuit scheduler without churn.
   void reset(std::uint32_t left_count, std::uint32_t right_count);
 
-  /// Computes a maximum matching; returns its cardinality.
+  /// Adjacency row of `left` (words_per_row() words), for callers that fill
+  /// or edit edges a word at a time.  Rows are contiguous and left-major, so
+  /// row(0) spans the whole adjacency.  Unchecked: left < left_count, and
+  /// bits at or past right_count must stay zero.
+  [[nodiscard]] std::uint64_t* row(std::uint32_t left) noexcept {
+    return adj_.data() + static_cast<std::size_t>(left) * wpr_;
+  }
+  [[nodiscard]] std::uint32_t words_per_row() const noexcept { return wpr_; }
+
+  /// Computes a maximum matching; returns its cardinality.  Edges are kept,
+  /// so a caller may edit a few rows and solve again.
   std::uint32_t solve();
 
   /// Partner of a left vertex after solve(), or kFree.
@@ -37,15 +53,21 @@ class HopcroftKarp {
 
   static constexpr std::uint32_t kFree = 0xffffffffu;
 
+  /// Augmenting phases of the last solve(): the greedy first phase counts
+  /// when it matched anything, then one per BFS that found a free right.
   [[nodiscard]] std::uint32_t phases() const noexcept { return phases_; }
 
  private:
+  [[nodiscard]] std::uint32_t greedy();
   [[nodiscard]] bool bfs();
   [[nodiscard]] bool dfs(std::uint32_t left);
+  void fill_rights();  ///< sets every right's bit in rights_
 
   std::uint32_t left_count_;
   std::uint32_t right_count_;
-  std::vector<std::vector<std::uint32_t>> adj_;
+  std::uint32_t wpr_;                 ///< words per adjacency row
+  std::vector<std::uint64_t> adj_;    ///< left_count x wpr_, left-major
+  std::vector<std::uint64_t> rights_;  ///< scratch right mask (free / unreached)
   std::vector<std::uint32_t> match_left_;
   std::vector<std::uint32_t> match_right_;
   std::vector<std::uint32_t> dist_;
@@ -56,9 +78,10 @@ class HopcroftKarp {
 /// MatchingAlgorithm adapter: max-size matching over positive demand.
 ///
 /// The result depends only on the SUPPORT of the demand matrix (which pairs
-/// are positive), not the values — so the epoch-warm cache keys on the
-/// row-major support bitmap alone, and a backlog that changed in magnitude
-/// but not in pattern still replays the previous matching exactly.
+/// are positive), not the values — so the solver's rows are the demand's
+/// row-support words, and the epoch-warm cache keys on that bitmap alone: a
+/// backlog that changed in magnitude but not in pattern still replays the
+/// previous matching exactly.
 class MaxSizeMatcher final : public MatchingAlgorithm {
  public:
   MaxSizeMatcher() = default;

@@ -5,12 +5,15 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/bitset.hpp"
+
 namespace xdrs::schedulers {
 namespace {
 
 /// Largest power of two <= v (v > 0).
-std::int64_t floor_pow2(std::int64_t v) {
-  return std::int64_t{1} << (63 - std::countl_zero(static_cast<std::uint64_t>(v)));
+/// floor(log2 v) for v > 0.
+int floor_log2(std::int64_t v) {
+  return 63 - std::countl_zero(static_cast<std::uint64_t>(v));
 }
 
 }  // namespace
@@ -24,6 +27,37 @@ SolsticeScheduler::SolsticeScheduler(SolsticeConfig cfg) : cfg_{cfg} {
   }
 }
 
+void SolsticeScheduler::bucket_pairs(std::uint32_t n, int level) {
+  buckets_.assign(static_cast<std::size_t>(level) * n * hk_.words_per_row(), 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::int64_t* v = stuffed_.data() + static_cast<std::size_t>(i) * n;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      if (v[j] <= 0) continue;
+      const int k = floor_log2(v[j]);
+      std::uint64_t* row = k >= level ? hk_.row(i) : bucket_row(k, i, n);
+      row[j / 64u] |= std::uint64_t{1} << (j % 64u);
+    }
+  }
+}
+
+bool SolsticeScheduler::rows_cover_all_rights(std::uint32_t n) {
+  const std::uint32_t wpr = hk_.words_per_row();
+  covered_.assign(wpr, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint64_t* row = hk_.row(i);
+    std::uint64_t any = 0;
+    for (std::uint32_t w = 0; w < wpr; ++w) {
+      covered_[w] |= row[w];
+      any |= row[w];
+    }
+    if (any == 0) return false;
+  }
+  for (std::uint32_t w = 0; w + 1 < wpr; ++w) {
+    if (covered_[w] != ~std::uint64_t{0}) return false;
+  }
+  return covered_[wpr - 1] == util::tail_mask(n);
+}
+
 void SolsticeScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& out) {
   if (dem.inputs() != dem.outputs()) {
     throw std::invalid_argument{"SolsticeScheduler: matrix must be square"};
@@ -32,23 +66,21 @@ void SolsticeScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& 
 
   out.residual.copy_from(dem);
   if (dem.total() == 0) {
-    out.slots.clear();
+    out.truncate(0);
     return;
   }
 
   // Stuff the demand so all line sums equal phi (northwest-corner rule),
-  // working in the recycled copy so the epoch allocates nothing.
-  stuffed_.copy_from(dem);
+  // working in the recycled flat copy so the epoch allocates nothing.
+  stuffed_.assign(dem.row_data(0), dem.row_data(0) + static_cast<std::size_t>(n) * n);
   {
-    const std::int64_t phi = dem.max_line_sum();
-    row_slack_.resize(n);
-    col_slack_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) row_slack_[i] = phi - dem.row_sum(i);
-    for (std::uint32_t j = 0; j < n; ++j) col_slack_[j] = phi - dem.col_sum(j);
+    const std::int64_t phi = dem.line_sums(row_slack_, col_slack_);
+    for (std::int64_t& s : row_slack_) s = phi - s;
+    for (std::int64_t& s : col_slack_) s = phi - s;
     std::uint32_t i = 0, j = 0;
     while (i < n && j < n) {
       const std::int64_t s = std::min(row_slack_[i], col_slack_[j]);
-      if (s > 0) stuffed_.add(i, j, s);
+      if (s > 0) stuffed_[static_cast<std::size_t>(i) * n + j] += s;
       row_slack_[i] -= s;
       col_slack_[j] -= s;
       if (row_slack_[i] == 0) ++i;
@@ -60,20 +92,27 @@ void SolsticeScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& 
   const auto min_slot_bytes = static_cast<std::int64_t>(
       cfg_.min_amortisation * static_cast<double>(cfg_.reconfig_cost_bytes));
 
-  std::int64_t t = floor_pow2(std::max<std::int64_t>(1, stuffed_.max_element()));
+  // t is 2^level.  The solver's rows hold the edges {stuffed >= t}, and
+  // every other positive pair waits in the bucket of its floor(log2 v).
+  // Halving t admits one bucket; a slice lowers only its matched pairs, so
+  // only those can leave the edges, each for the bucket of its new value.
+  int level = floor_log2(std::max<std::int64_t>(
+      1, *std::max_element(stuffed_.begin(), stuffed_.end())));
+  std::int64_t t = std::int64_t{1} << level;
+  hk_.reset(n, n);
+  bucket_pairs(n, level);
+  const std::size_t adjacency_words = static_cast<std::size_t>(n) * hk_.words_per_row();
   std::size_t used = 0;
   while (t > 0 && t >= std::max<std::int64_t>(1, min_slot_bytes)) {
     if (cfg_.max_slots > 0 && used >= cfg_.max_slots) break;
 
-    hk_.reset(n, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t* row = stuffed_.row_data(i);
-      for (std::uint32_t j = 0; j < n; ++j) {
-        if (row[j] >= t) hk_.add_edge(i, j);
-      }
-    }
-    if (hk_.solve() < n) {
+    if (!rows_cover_all_rights(n) || hk_.solve() < n) {
       t /= 2;  // threshold too demanding: no perfect matching at this level
+      if (t > 0) {
+        const std::uint64_t* admitted = bucket_row(--level, 0, n);
+        std::uint64_t* adjacency = hk_.row(0);
+        for (std::size_t w = 0; w < adjacency_words; ++w) adjacency[w] |= admitted[w];
+      }
       continue;
     }
 
@@ -82,12 +121,18 @@ void SolsticeScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& 
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t j = hk_.match_of_left(i);
       slot.configuration.match(i, j);
-      stuffed_.subtract_clamped(i, j, t);
-      out.residual.subtract_clamped(i, j, t);
+      std::int64_t& v = stuffed_[static_cast<std::size_t>(i) * n + j];
+      v -= t;  // an edge, so v >= t
+      if (v < t) {
+        const std::uint64_t bit = std::uint64_t{1} << (j % 64u);
+        hk_.row(i)[j / 64u] &= ~bit;
+        if (v > 0) bucket_row(floor_log2(v), i, n)[j / 64u] |= bit;
+      }
+      out.residual.add_unchecked(i, j, -std::min(out.residual.at_unchecked(i, j), t));
     }
     if (out.residual.total() == 0) break;  // all real demand covered
   }
-  out.slots.resize(used);
+  out.truncate(used);
 }
 
 }  // namespace xdrs::schedulers

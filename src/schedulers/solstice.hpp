@@ -42,11 +42,26 @@ class SolsticeScheduler final : public CircuitScheduler {
   [[nodiscard]] const SolsticeConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// Sets the solver's rows to the edges {stuffed >= 2^level} and files
+  /// every other positive pair in the bucket of its floor(log2 v).
+  void bucket_pairs(std::uint32_t n, int level);
+  /// Row `i` of bucket `level`, laid out like the solver's rows.
+  [[nodiscard]] std::uint64_t* bucket_row(int level, std::uint32_t i, std::uint32_t n) noexcept {
+    return buckets_.data() + (static_cast<std::size_t>(level) * n + i) * hk_.words_per_row();
+  }
+  /// False when some row is empty or the rows miss a right: no perfect
+  /// matching exists, so the solve can be skipped.
+  [[nodiscard]] bool rows_cover_all_rights(std::uint32_t n);
+
   SolsticeConfig cfg_;
-  // Recycled epoch workspaces: stuffed demand copy, line-slack scratch and
-  // the perfect-matching solver.
-  demand::DemandMatrix stuffed_;
+  // Recycled epoch workspaces: the stuffed demand (row-major n x n), its
+  // line slack, a right mask, the perfect-matching solver, whose rows hold
+  // the threshold edge set between solves, and the pairs below the
+  // threshold, bucketed by power of two.
+  std::vector<std::int64_t> stuffed_;
+  std::vector<std::uint64_t> buckets_;
   std::vector<std::int64_t> row_slack_, col_slack_;
+  std::vector<std::uint64_t> covered_;
   HopcroftKarp hk_{0, 0};
 };
 

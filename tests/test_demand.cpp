@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "demand/demand_matrix.hpp"
 #include "demand/estimator.hpp"
@@ -88,6 +89,18 @@ TEST(DemandMatrix, RowColSums) {
   EXPECT_EQ(m.col_sum(2), 25);
   EXPECT_EQ(m.col_sum(0), 0);
   EXPECT_EQ(m.max_line_sum(), 30);
+
+  // The one-pass form agrees, on a non-square shape whose largest line is
+  // a column.
+  DemandMatrix w{2, 4};
+  w.set(0, 3, 7);
+  w.set(1, 3, 9);
+  w.set(1, 0, 1);
+  std::vector<std::int64_t> rows{99}, cols;
+  EXPECT_EQ(w.line_sums(rows, cols), 16);
+  EXPECT_EQ(rows, (std::vector<std::int64_t>{7, 10}));
+  EXPECT_EQ(cols, (std::vector<std::int64_t>{1, 0, 0, 16}));
+  EXPECT_EQ(w.max_line_sum(), 16);
 }
 
 TEST(DemandMatrix, MaxElementAndNonzeroCount) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "schedulers/policy_registry.hpp"
@@ -14,6 +15,8 @@
 #include "schedulers/rga.hpp"
 #include "schedulers/rotor.hpp"
 #include "sim/random.hpp"
+
+#include "reference_hopcroft_karp.hpp"
 
 namespace xdrs::schedulers {
 namespace {
@@ -326,6 +329,48 @@ TEST(HopcroftKarp, EdgeValidation) {
   HopcroftKarp hk{2, 2};
   EXPECT_THROW(hk.add_edge(2, 0), std::out_of_range);
   EXPECT_THROW(hk.add_edge(0, 2), std::out_of_range);
+}
+
+TEST(HopcroftKarp, MatchesTheVectorAdjacencySolverOnRandomGraphs) {
+  // Random bipartite graphs of 1-130 lefts and rights (unbalanced and
+  // multi-word shapes) at densities 0 to 1.  Each left's rights are added
+  // in ascending order, the order the reference solver visits them in, and
+  // then a few edges are added a second time.  One bitset solver is
+  // recycled across shapes through reset(), as the planners recycle theirs.
+  constexpr double kDensities[] = {0.0, 0.01, 0.04, 0.15, 0.5, 0.9, 1.0};
+  sim::Rng rng{41};
+  HopcroftKarp hk{0, 0};
+  for (int trial = 0; trial < 700; ++trial) {
+    const auto lefts = static_cast<std::uint32_t>(rng.uniform_int(1, 130));
+    const auto rights = static_cast<std::uint32_t>(rng.uniform_int(1, 130));
+    const double density = trial % 8 == 7 ? rng.next_double() : kDensities[trial % 8];
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (std::uint32_t l = 0; l < lefts; ++l) {
+      for (std::uint32_t r = 0; r < rights; ++r) {
+        if (rng.bernoulli(density)) edges.emplace_back(l, r);
+      }
+    }
+    const std::size_t repeats = edges.empty() ? 0 : rng.next_below(edges.size() / 4 + 2);
+    for (std::size_t k = 0; k < repeats; ++k) edges.push_back(edges[rng.next_below(edges.size())]);
+
+    hk.reset(lefts, rights);
+    reference::HopcroftKarp ref{lefts, rights};
+    for (const auto& [l, r] : edges) {
+      hk.add_edge(l, r);
+      ref.add_edge(l, r);
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": " << lefts << " x " << rights
+                                      << ", density " << density);
+    const std::uint32_t size = ref.solve();
+    ASSERT_EQ(hk.solve(), size);
+    ASSERT_EQ(hk.phases(), ref.phases());
+    for (std::uint32_t l = 0; l < lefts; ++l) {
+      ASSERT_EQ(hk.match_of_left(l), ref.match_of_left(l)) << "left " << l;
+    }
+    // solve() keeps the edges, so solving again gives the same matching.
+    ASSERT_EQ(hk.solve(), size);
+    ASSERT_EQ(hk.phases(), ref.phases());
+  }
 }
 
 TEST(MaxSizeMatcher, CardinalityAtLeastAnyOtherMatcher) {
