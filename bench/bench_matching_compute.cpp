@@ -18,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -85,23 +86,31 @@ BENCHMARK(BM_Rotor)->RangeMultiplier(2)->Range(kLo, kHi);
 
 /// Event churn shaped like the framework's packet path: every event captures
 /// `[this, net::Packet, port]` (OCS delivery, EPS pumping), the largest hot
-/// closure, re-arms itself, and now and then schedules and cancels a
-/// delivery the way an OCS reconfiguration cuts one in flight.
+/// closure, and re-arms itself a few microseconds ahead.  Beside it run the
+/// engine's other shapes: timers 10 us to 10 ms ahead (epochs, flow
+/// arrivals), which sit in the calendar queue's far set; bursts of events at
+/// one timestamp (an epoch boundary); and cancels of both a delivery in
+/// flight (an OCS reconfiguration cutting it) and a timer.
 class EngineChurn {
  public:
   explicit EngineChurn(std::uint32_t depth) : depth_{depth} {}
 
-  /// Arms `depth` events, then runs until `events` more have been
-  /// scheduled and everything pending has fired.
+  /// Arms `depth` deliveries and a timer per kPortsPerTimer ports, then runs
+  /// until `events` more deliveries have been scheduled and everything
+  /// pending has fired.
   void run(std::uint64_t events) {
     budget_ = events;
     for (net::PortId port = 0; port < depth_; ++port) arm(port);
+    for (net::PortId port = 0; port < depth_; port += kPortsPerTimer) arm_timer(port);
     sim_.run();
   }
 
   [[nodiscard]] const sim::SimulatorStats& stats() const noexcept { return sim_.stats(); }
 
  private:
+  static constexpr std::uint32_t kPortsPerTimer = 8;
+  static constexpr int kBurst = 128;
+
   sim::EventId arm(net::PortId port) {
     net::Packet pkt;
     pkt.id = ++packets_;
@@ -113,12 +122,35 @@ class EngineChurn {
     return sim_.schedule(sim::Time::nanoseconds(rng_.uniform_int(1, 4000)), deliver);
   }
 
+  /// A timer 10 us to 10 ms ahead, log-uniform, that re-arms while the
+  /// budget lasts.
+  sim::EventId arm_timer(net::PortId port) {
+    const double us = std::pow(10.0, rng_.uniform(1.0, 4.0));
+    return sim_.schedule(sim::Time::picoseconds(static_cast<std::int64_t>(us * 1e6)), [this, port] {
+      if (budget_ != 0) arm_timer(port);
+    });
+  }
+
   void delivered(const net::Packet& pkt, net::PortId port) {
     bytes_ += pkt.size_bytes;
     if (budget_ == 0) return;
     --budget_;
     arm(port);
-    if (budget_ % 4096 == 0) sim_.cancel(arm(port));
+    switch (budget_ % 4096) {
+      case 0:
+        sim_.cancel(arm(port));
+        break;
+      case 1024:
+        sim_.cancel(arm_timer(port));
+        break;
+      case 2048: {
+        const auto at = sim::Time::nanoseconds(rng_.uniform_int(1, 4000));
+        for (int k = 0; k < kBurst; ++k) sim_.schedule(at, [this] { ++burst_events_; });
+        break;
+      }
+      default:
+        break;
+    }
   }
 
   sim::Simulator sim_;
@@ -126,11 +158,13 @@ class EngineChurn {
   std::uint32_t depth_;
   std::uint64_t budget_{0};
   std::uint64_t packets_{0};
+  std::uint64_t burst_events_{0};
   std::int64_t bytes_{0};
 };
 
 /// The engine half of `--alloc-check`: once the event queue has reached its
-/// peak pending depth, scheduling, firing and cancelling must not allocate.
+/// peak pending depth, scheduling, firing and cancelling must not allocate,
+/// on the wheel or in the far set.
 bool engine_alloc_check() {
   constexpr std::uint32_t kDepth = 1000;
   constexpr std::uint64_t kWarmupEvents = 100'000;
@@ -147,8 +181,9 @@ bool engine_alloc_check() {
   const bool ok = allocs == 0;
   std::printf("steady-state heap allocations of the event engine "
               "(%llu events at pending depth %u):\n  %-31s %8llu %s\n",
-              static_cast<unsigned long long>(executed), kDepth, "[this, Packet, port] closures",
-              static_cast<unsigned long long>(allocs), ok ? "OK" : "FAIL");
+              static_cast<unsigned long long>(executed), kDepth,
+              "closures, timers, bursts, cancels", static_cast<unsigned long long>(allocs),
+              ok ? "OK" : "FAIL");
   return ok;
 }
 

@@ -16,6 +16,15 @@
 // returns false.  Cancellation is generation-checked: an EventId whose event
 // already fired or was cancelled never matches a later event that reuses its
 // storage.
+//
+// Costs, from the calendar queue underneath (event_queue.hpp): firing the
+// next event is O(1) with no log-depth pop; scheduling is O(1) at the tail
+// of a time bucket, plus a short walk when it lands before events already
+// there; an event more than a wheel span ahead pays O(log n) in the far set,
+// once on the way in and once when the wheel reaches it.  Cancelling is O(1)
+// plus a walk of its bucket.  A run that stops at a horizon leaves the queue
+// ready for pushes at that horizon, so `run_until` in steps costs nothing
+// extra.
 #ifndef XDRS_SIM_SIMULATOR_HPP
 #define XDRS_SIM_SIMULATOR_HPP
 

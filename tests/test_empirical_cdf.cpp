@@ -21,15 +21,9 @@ namespace {
 
 using namespace xdrs::sim::literals;
 
-/// ctest runs from the build directory; the bundled CDFs live relative to
-/// the repository root.  Probe the obvious candidates.
-std::string bundled(const std::string& rel) {
-  for (const char* prefix : {"", "../", "../../"}) {
-    const std::string path = prefix + rel;
-    if (std::filesystem::exists(path)) return path;
-  }
-  return rel;
-}
+/// The bundled CDFs live under the source tree's `examples/`, wherever the
+/// build directory is; CMake passes the source directory in.
+std::string bundled(const std::string& rel) { return std::string{XDRS_SOURCE_DIR} + "/" + rel; }
 
 // ---- parsing ---------------------------------------------------------------
 
