@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "bench_util.hpp"
 #include "exp/scenario.hpp"
 #include "util/parse.hpp"
 
@@ -112,8 +111,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(iterations), wall,
               static_cast<double>(iterations) / wall, static_cast<double>(decisions) / wall,
               static_cast<double>(delivered) / 1e6);
-  bench::print_note(
+  std::printf(
       "Build with -DCMAKE_BUILD_TYPE=Profile to attribute samples with a sampling profiler;\n"
-      "for per-layer times use `python3 perfbench/run.py --workload p128_slotted --trace 1`.");
+      "for per-layer times use `python3 perfbench/run.py --workload p128_slotted --trace 1`.\n");
   return 0;
 }

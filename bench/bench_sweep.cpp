@@ -21,7 +21,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "bench_util.hpp"
 #include "exp/presets.hpp"
 #include "exp/runner.hpp"
 #include "util/file_io.hpp"
@@ -110,10 +109,8 @@ int main(int argc, char** argv) {
 
   const exp::SweepResult result = exp::ExperimentRunner{so}.run(grid);
 
-  char title[128];
-  std::snprintf(title, sizeof title, "parallel sweep engine — %zu-point '%s' grid", grid.size(),
-                opt.preset.c_str());
-  bench::print_header("E11", title);
+  std::printf("\n## parallel sweep engine — %zu-point '%s' grid\n\n", grid.size(),
+              opt.preset.c_str());
   auto t = result.table(
       {"label", "delivery_ratio", "delivered_bytes", "latency_p99_ps", "voq_drops"});
   std::printf("%s\n", t.markdown().c_str());
@@ -124,9 +121,9 @@ int main(int argc, char** argv) {
   if (!opt.json_path.empty()) write_file(opt.json_path, result.to_json());
   if (!opt.csv_path.empty()) write_file(opt.csv_path, result.to_csv());
 
-  bench::print_note(
+  std::printf(
       "Every row is one independent deterministic simulation; the grid saturates all cores and\n"
       "the collected artefact is bit-identical for any --threads value. The same preset names\n"
-      "drive sweepctl, so sharded multi-process runs merge to these exact bytes.");
+      "drive sweepctl, so sharded multi-process runs merge to these exact bytes.\n");
   return 0;
 }

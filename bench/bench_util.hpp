@@ -1,56 +1,18 @@
-// Shared helpers for the experiment benches (E1..E10).
-//
-// Every bench prints a GitHub-markdown table whose rows mirror what the
-// paper reports (or motivates); EXPERIMENTS.md records the outputs.
-#ifndef XDRS_BENCH_BENCH_UTIL_HPP
-#define XDRS_BENCH_BENCH_UTIL_HPP
-
-#include <atomic>
-#include <cstdint>
-#include <cstdio>
-#include <string>
-
-#include "core/framework.hpp"
-#include "topo/testbed.hpp"
-
-namespace xdrs::bench {
-
-inline void print_header(const char* experiment, const char* title) {
-  std::printf("\n## %s — %s\n\n", experiment, title);
-}
-
-inline void print_note(const std::string& note) { std::printf("%s\n", note.c_str()); }
-
-/// Standard hybrid configuration used by several experiments; individual
-/// benches override the fields they sweep.
-inline core::FrameworkConfig hybrid_base(std::uint32_t ports) {
-  core::FrameworkConfig c;
-  c.ports = ports;
-  c.discipline = core::SchedulingDiscipline::kHybridEpoch;
-  c.link_rate = sim::DataRate::gbps(10);
-  c.eps_rate = sim::DataRate::gbps(10);
-  c.epoch = sim::Time::microseconds(100);
-  c.ocs_reconfig = sim::Time::microseconds(1);
-  c.min_circuit_hold = sim::Time::microseconds(10);
-  return c;
-}
-
-/// Installs the standard hybrid stack — instantaneous estimator + Solstice
-/// sized to the configuration's reconfiguration cost — with the given
-/// timing-model spec ("hardware", "software", "hw:500MHz", ...).  Built
-/// entirely through the PolicyRegistry.
-inline void install_hybrid_policies(core::HybridSwitchFramework& fw,
-                                    const std::string& timing_spec = "hardware") {
-  fw.set_policies(core::PolicyStack{}.with_timing(timing_spec));
-}
-
-// ---------------------------------------------------------------------------
-// Heap-allocation counting for the zero-allocation steady-state check.
+// Heap-allocation counting for the zero-allocation steady-state check
+// (`bench_matching_compute --alloc-check`).
 //
 // The counter itself lives here; the replacement operator new/delete pair is
 // compiled only into binaries that define XDRS_BENCH_ALLOC_COUNTER before
 // including this header (replacement allocation functions must have exactly
 // one definition per program).
+#ifndef XDRS_BENCH_BENCH_UTIL_HPP
+#define XDRS_BENCH_BENCH_UTIL_HPP
+
+#include <atomic>
+#include <cstdint>
+
+namespace xdrs::bench {
+
 inline std::atomic<std::uint64_t> g_heap_allocs{0};
 
 [[nodiscard]] inline std::uint64_t heap_allocs() {

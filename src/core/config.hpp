@@ -77,11 +77,6 @@ struct FrameworkConfig {
   /// Minimum circuit-hold duration per plan slot (amortises dark time).
   sim::Time min_circuit_hold{sim::Time::microseconds(10)};
 
-  /// Latency-sensitive packets bypass circuits and ride the EPS.
-  bool latency_sensitive_to_eps{true};
-  /// Paper §3 ordering: configure circuits before granting.  Disabling
-  /// overlaps them (grants act during dark time) — ablation for E9.
-  bool configure_before_grant{true};
   /// Host-buffered mode: when a granted packet misses its circuit window
   /// (skew), divert it to the EPS instead of dropping it.
   bool eps_fallback_on_miss{false};

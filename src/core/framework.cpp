@@ -38,7 +38,7 @@ HybridSwitchFramework::HybridSwitchFramework(FrameworkConfig cfg,
 
 void HybridSwitchFramework::wire() {
   // Processing -> scheduling: requests and demand-estimator events.  All
-  // control-path latency is owned by the timing model (E2), so the wiring
+  // control-path latency is owned by the timing model, so the wiring
   // itself is immediate.
   processing_.set_request_callback(
       [this](const control::SchedulingRequest& r) { scheduling_.on_request(r); });

@@ -65,8 +65,7 @@ void ProcessingLogic::ingest(const net::Packet& p) {
   if (cfg_.placement == BufferPlacement::kToRSwitch) {
     // Packets traverse the host uplink before reaching switch VOQs.
     sim_.schedule(cfg_.link_latency, [this, pkt]() mutable {
-      if (cfg_.latency_sensitive_to_eps &&
-          pkt.tclass == net::TrafficClass::kLatencySensitive) {
+      if (pkt.tclass == net::TrafficClass::kLatencySensitive) {
         // Mice / interactive traffic never waits for circuits: straight to
         // the packet switch (possible precisely because buffering and
         // forwarding happen inside the ToR in this placement).

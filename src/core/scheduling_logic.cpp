@@ -126,8 +126,7 @@ void SchedulingLogic::decide_slotted() {
             if (g.valid_until > g.valid_from) gs.grants.push_back(g);
           });
           if (grant_cb_ && !gs.grants.empty()) grant_cb_(gs);
-        },
-        cfg_.configure_before_grant);
+        });
   });
 }
 
@@ -230,8 +229,7 @@ void SchedulingLogic::run_plan_slot(std::shared_ptr<schedulers::CircuitPlan> pla
         sim_.schedule_at(up + hold, [this, plan, k, epoch, deadline] {
           run_plan_slot(plan, k + 1, epoch, deadline);
         });
-      },
-      cfg_.configure_before_grant);
+      });
 }
 
 }  // namespace xdrs::core

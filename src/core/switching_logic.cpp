@@ -24,22 +24,12 @@ void SwitchingLogic::set_stage_timers(obs::Registry* reg) {
   t_reconfigure_ = reg != nullptr ? &reg->timer("ocs_reconfigure") : nullptr;
 }
 
-void SwitchingLogic::configure(const schedulers::Matching& m, ReadyCallback on_ready,
-                               bool wait_for_ready) {
+void SwitchingLogic::configure(const schedulers::Matching& m, ReadyCallback on_ready) {
   ++stats_.configurations_requested;
   trace_.record(sim_.now(), sim::TraceCategory::kReconfigStart);
-  if (wait_for_ready) {
-    pending_ = std::move(on_ready);  // supersedes any in-flight callback
-    obs::ScopedSpan span{obs_, t_reconfigure_};
-    ocs_.reconfigure(m);
-  } else {
-    pending_ = nullptr;
-    {
-      obs::ScopedSpan span{obs_, t_reconfigure_};
-      ocs_.reconfigure(m);
-    }
-    if (on_ready) on_ready(sim_.now());
-  }
+  pending_ = std::move(on_ready);  // supersedes any in-flight callback
+  obs::ScopedSpan span{obs_, t_reconfigure_};
+  ocs_.reconfigure(m);
 }
 
 }  // namespace xdrs::core

@@ -30,12 +30,10 @@ class SwitchingLogic {
   SwitchingLogic(sim::Simulator& sim, switching::OpticalCircuitSwitch& ocs,
                  sim::TraceRecorder& trace);
 
-  /// Retunes the OCS to `m`.  When `wait_for_ready` (the paper's protocol)
-  /// the callback fires once circuits are up; otherwise it fires
-  /// immediately, modelling the overlapped-grant ablation.  A newer
-  /// configure supersedes an in-flight one; the superseded callback is
-  /// dropped (its grants must never be released onto the wrong circuits).
-  void configure(const schedulers::Matching& m, ReadyCallback on_ready, bool wait_for_ready);
+  /// Retunes the OCS to `m`; the callback fires once circuits are up.  A
+  /// newer configure supersedes an in-flight one; the superseded callback
+  /// is dropped (its grants must never be released onto the wrong circuits).
+  void configure(const schedulers::Matching& m, ReadyCallback on_ready);
 
   [[nodiscard]] const SwitchingStats& stats() const noexcept { return stats_; }
 

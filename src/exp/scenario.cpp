@@ -309,8 +309,6 @@ std::string ScenarioSpec::identity_json() const {
   f.push_back(Field::i64("slot_time_ps", config.slot_time.ps()));
   f.push_back(Field::i64("epoch_ps", config.epoch.ps()));
   f.push_back(Field::i64("min_circuit_hold_ps", config.min_circuit_hold.ps()));
-  f.push_back(Field::u64("latency_sensitive_to_eps", config.latency_sensitive_to_eps ? 1 : 0));
-  f.push_back(Field::u64("configure_before_grant", config.configure_before_grant ? 1 : 0));
   f.push_back(Field::u64("eps_fallback_on_miss", config.eps_fallback_on_miss ? 1 : 0));
   f.push_back(Field::i64("sync_max_skew_ps", config.sync.max_skew.ps()));
   f.push_back(Field::i64("sync_jitter_ps", config.sync.jitter.ps()));

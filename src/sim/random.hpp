@@ -2,8 +2,8 @@
 //
 // We implement xoshiro256** seeded via SplitMix64 rather than relying on
 // <random> engines + distributions: the standard distributions'
-// value sequences are implementation-defined, and every experiment in
-// EXPERIMENTS.md must replay bit-identically on any toolchain.
+// value sequences are implementation-defined, and every committed sweep
+// artefact must replay bit-identically on any toolchain.
 #ifndef XDRS_SIM_RANDOM_HPP
 #define XDRS_SIM_RANDOM_HPP
 

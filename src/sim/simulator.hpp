@@ -37,7 +37,7 @@
 
 namespace xdrs::sim {
 
-/// Engine statistics, exposed for the scalability experiments (E10).
+/// Engine statistics: events executed, scheduled and cancelled.
 struct SimulatorStats {
   std::uint64_t events_executed{0};
   std::uint64_t events_scheduled{0};

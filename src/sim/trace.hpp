@@ -3,8 +3,8 @@
 // The paper argues a testbed "allows to detect and analyse transient effects
 // that may not be visible under simulation environments"; the recorder below
 // is our answer — every stage of the request/grant pipeline and every fabric
-// reconfiguration can be stamped, then replayed by the transient benches
-// (E8) and the Figure 2 pipeline bench (E9).
+// reconfiguration can be stamped, then replayed by the transient and
+// Figure 2 ordering tests.
 #ifndef XDRS_SIM_TRACE_HPP
 #define XDRS_SIM_TRACE_HPP
 

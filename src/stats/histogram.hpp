@@ -1,8 +1,8 @@
 // Log-bucketed histogram for latency-scale values (HdrHistogram-style):
 // power-of-two buckets, each split into 16 linear sub-buckets, giving a
 // worst-case quantile error of ~6% across the full picosecond..second range
-// at constant memory.  Used for every latency/jitter distribution reported
-// in EXPERIMENTS.md.
+// at constant memory.  Used for every latency distribution a RunReport
+// carries.
 #ifndef XDRS_STATS_HISTOGRAM_HPP
 #define XDRS_STATS_HISTOGRAM_HPP
 

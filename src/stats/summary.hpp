@@ -1,5 +1,5 @@
 // Streaming scalar summary (Welford's online mean/variance) and the RFC 3550
-// interarrival-jitter estimator used for the VOIP experiment (E4).
+// interarrival-jitter estimator behind the VOIP jitter report.
 #ifndef XDRS_STATS_SUMMARY_HPP
 #define XDRS_STATS_SUMMARY_HPP
 

@@ -1,5 +1,5 @@
-// Table rendering for the benchmark harness: every experiment prints a
-// GitHub-markdown table (for EXPERIMENTS.md) and can emit CSV for plotting.
+// Table rendering for sweep results and examples: a GitHub-markdown table
+// for terminal output, and CSV for plotting.
 #ifndef XDRS_STATS_TABLE_HPP
 #define XDRS_STATS_TABLE_HPP
 

@@ -1,4 +1,4 @@
-// Bounded time series for transient analysis (experiment E8): record
+// Bounded time series for transient analysis: record
 // (time, value) samples; when the capacity is exceeded, every other sample
 // is dropped and the sampling stride doubles, preserving shape at bounded
 // memory (a standard reservoir-free decimation scheme).

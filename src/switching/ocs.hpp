@@ -6,8 +6,7 @@
 // The model therefore centres on the reconfiguration *dark period*: between
 // `reconfigure()` and the configured callback, every circuit is down, and
 // packets still on the fabric (serialising or propagating) when darkness
-// falls are lost (counted separately — they are the transients of
-// experiment E8).
+// falls are lost (counted separately as reconfiguration cuts).
 #ifndef XDRS_SWITCHING_OCS_HPP
 #define XDRS_SWITCHING_OCS_HPP
 

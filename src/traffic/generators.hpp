@@ -137,8 +137,7 @@ class CbrGenerator final : public TrafficGenerator {
 /// Flow-level source: flows arrive as a Poisson process; each flow draws a
 /// size from a mice/elephant mixture — or from an explicit SizeDistribution
 /// (e.g. an empirical websearch/datamining CDF) — and streams it at the
-/// host NIC rate.  This is the workload the hybrid split experiment (E5)
-/// sweeps.
+/// host NIC rate.
 class FlowGenerator final : public TrafficGenerator {
  public:
   struct Config {

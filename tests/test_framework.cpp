@@ -141,25 +141,63 @@ TEST(Framework, LatencySensitiveBypassInTorMode) {
   EXPECT_LT(r.latency_sensitive.quantile_time(0.99), 10_us) << r.summary();
 }
 
+// Paper §2: slow scheduling "can increase the overall traffic latency and
+// jitter of widely used applications (i.e., VOIP ...)".  Four CBR streams
+// (200 B every 20 us) cross an 8-port switch alone, then next to Pareto
+// ON/OFF line-rate bursts, under a hardware loop with ToR buffers and a
+// software loop with host buffers.
 TEST(Framework, HardwareSchedulingBeatsSoftwareOnVoipLatency) {
-  const auto run_with = [](bool hardware) {
-    FrameworkConfig c = fast_hybrid();
+  const auto run_with = [](bool hardware, bool bursty) {
+    FrameworkConfig c = fast_hybrid(8);
     c.placement = hardware ? BufferPlacement::kToRSwitch : BufferPlacement::kHost;
     c.epoch = hardware ? Time::microseconds(100) : Time::milliseconds(1);
+    c.min_circuit_hold = hardware ? 10_us : 100_us;
     HybridSwitchFramework fw{c};
     fw.set_policies(PolicyStack{}.with_timing(hardware ? "hardware" : "software"));
-    topo::attach_voip(fw, 2, 20_us, 200);
-    return fw.run(8_ms, 2_ms);
+    topo::attach_voip(fw, 4, 20_us, 200);
+    if (bursty) {
+      topo::WorkloadSpec spec;
+      spec.kind = topo::WorkloadSpec::Kind::kOnOffBursts;
+      spec.mean_on = 60_us;
+      spec.mean_off = 140_us;
+      spec.seed = 29;
+      topo::attach_workload(fw, spec);
+    }
+    return fw.run(30_ms, 5_ms);
   };
 
-  const RunReport hw = run_with(true);
-  const RunReport sw = run_with(false);
+  const RunReport hw = run_with(true, false);
+  const RunReport sw = run_with(false, false);
   ASSERT_GT(hw.latency_sensitive.count(), 0u);
   ASSERT_GT(sw.latency_sensitive.count(), 0u);
   // The paper's claim: slow scheduling inflates interactive latency.
   EXPECT_LT(hw.latency_sensitive.quantile(0.99) * 10, sw.latency_sensitive.quantile(0.99))
       << "hw: " << hw.latency_sensitive.summary_time()
       << " sw: " << sw.latency_sensitive.summary_time();
+
+  // Next to bursts.  Bands: ±25 % around the recorded p99 (7.86 us hw,
+  // 4.03 ms sw) and RFC 3550 jitter (0.24 us hw, 20.65 us sw).  A p99 moves
+  // in steps of the histogram's 1/16-octave buckets and the jitter is a
+  // mean over four flows, so 25 % admits a few steps but not a change of
+  // regime; the claim itself is the hundredfold gap, asserted apart.
+  const RunReport hw_bursty = run_with(true, true);
+  const RunReport sw_bursty = run_with(false, true);
+  const double hw_p99 = hw_bursty.latency_sensitive.quantile_time(0.99).us();
+  const double sw_p99 = sw_bursty.latency_sensitive.quantile_time(0.99).us();
+  EXPECT_NEAR(hw_p99, 7.86, 0.25 * 7.86);
+  EXPECT_NEAR(sw_p99, 4030.0, 0.25 * 4030.0);
+  EXPECT_GT(sw_p99, 100 * hw_p99);
+  EXPECT_NEAR(hw_bursty.jitter_us.mean(), 0.24, 0.25 * 0.24);
+  EXPECT_NEAR(sw_bursty.jitter_us.mean(), 20.65, 0.25 * 20.65);
+  EXPECT_GT(sw_bursty.jitter_us.mean(), 10 * hw_bursty.jitter_us.mean());
+
+  // The decision latency each loop lived through (recorded 1.81 us hw,
+  // 858.8 us sw): the paper's "milliseconds vs nanoseconds", held to two
+  // orders of magnitude since a hardware Solstice decision grows with the
+  // number of slots it plans.
+  EXPECT_GE(sw_bursty.mean_decision_latency.ratio(hw_bursty.mean_decision_latency), 100.0)
+      << "hw " << hw_bursty.mean_decision_latency.to_string() << " sw "
+      << sw_bursty.mean_decision_latency.to_string();
 }
 
 TEST(Framework, HostModeBuffersAtHostsTorModeBuffersInSwitch) {

@@ -47,8 +47,8 @@ ScenarioSpec fixed_spec() {
 // serialization or the FNV constants drifted.  Update it only alongside a
 // deliberate ScenarioSpec::fields() / RunReport::kSchemaVersion change.
 TEST_F(ResultCacheTest, SpecHashGoldenIsStable) {
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f3c769e3e574.json");
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f3c769e3e574.json");  // deterministic
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "0ad8e3f5665beee9.json");
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "0ad8e3f5665beee9.json");  // deterministic
 }
 
 TEST_F(ResultCacheTest, SpecHashSeesEveryAxisAndTheWholePolicyStack) {

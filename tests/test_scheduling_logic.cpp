@@ -65,30 +65,20 @@ TEST(SwitchingLogic, ConfigureFiresReadyAfterDarkPeriod) {
   Rig rig{slotted_config()};
   std::vector<Time> ready_at;
   rig.switching->configure(schedulers::Matching::rotation(4, 1),
-                           [&](Time t) { ready_at.push_back(t); }, true);
+                           [&](Time t) { ready_at.push_back(t); });
   rig.sim.run();
   ASSERT_EQ(ready_at.size(), 1u);
   EXPECT_EQ(ready_at[0], 100_ns);
   EXPECT_EQ(rig.switching->stats().configurations_completed, 1u);
 }
 
-TEST(SwitchingLogic, OverlappedModeFiresImmediately) {
-  Rig rig{slotted_config()};
-  std::vector<Time> ready_at;
-  rig.switching->configure(schedulers::Matching::rotation(4, 1),
-                           [&](Time t) { ready_at.push_back(t); }, false);
-  ASSERT_EQ(ready_at.size(), 1u);
-  EXPECT_EQ(ready_at[0], Time::zero());  // before the dark period ends
-  EXPECT_TRUE(rig.ocs->is_dark());
-}
-
 TEST(SwitchingLogic, NewerConfigureSupersedesPending) {
   Rig rig{slotted_config()};
   int first_fired = 0, second_fired = 0;
   rig.switching->configure(schedulers::Matching::rotation(4, 1),
-                           [&](Time) { ++first_fired; }, true);
+                           [&](Time) { ++first_fired; });
   rig.switching->configure(schedulers::Matching::rotation(4, 2),
-                           [&](Time) { ++second_fired; }, true);
+                           [&](Time) { ++second_fired; });
   rig.sim.run();
   EXPECT_EQ(first_fired, 0);  // superseded callback must never fire
   EXPECT_EQ(second_fired, 1);
