@@ -1,10 +1,10 @@
 // Named sweep grids.
 //
 // A preset is a deterministic function from a name to a grid of
-// ScenarioSpecs, shared by bench_sweep and sweepctl so that a recorded
-// artefact can be reproduced, sharded across processes/hosts and merged
-// back — every participant reconstructs the identical grid from the name
-// alone.  Built-ins:
+// ScenarioSpecs, so that a recorded artefact (`sweepctl run --preset NAME`)
+// can be reproduced, sharded across processes/hosts and merged back —
+// every participant reconstructs the identical grid from the name alone.
+// Built-ins:
 //
 //   small        the 64-point ports x load x matcher grid behind
 //                BENCH_sweep.json (laptop-fast)

@@ -113,20 +113,6 @@ std::string SweepResult::to_json() const {
   return out;
 }
 
-stats::Table SweepResult::table(const std::vector<std::string>& columns) const {
-  stats::Table t{columns};
-  for (const auto& p : points) {
-    const auto fields = point_fields(p);
-    auto& row = t.row();
-    for (const auto& col : columns) {
-      const auto it = std::find_if(fields.begin(), fields.end(),
-                                   [&col](const stats::Field& f) { return f.name() == col; });
-      row.cell(it == fields.end() ? std::string{"-"} : it->csv());
-    }
-  }
-  return t;
-}
-
 // ------------------------------------------------------- sharded reassembly
 
 std::string SweepResult::to_shard_json() const {

@@ -31,7 +31,6 @@
 
 #include "exp/scenario.hpp"
 #include "exp/work_source.hpp"
-#include "stats/table.hpp"
 
 namespace xdrs::exp {
 
@@ -109,9 +108,6 @@ class SweepResult {
   /// fields followed by the reports' fields; rows are in grid order.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;  ///< {"points":[...],"merged":{...}}
-
-  /// Markdown table of selected columns (by field name) for bench output.
-  [[nodiscard]] stats::Table table(const std::vector<std::string>& columns) const;
 
   // ---- sharded-sweep reassembly -------------------------------------------
 

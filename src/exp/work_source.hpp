@@ -16,10 +16,10 @@
 //                       heartbeat-stamped leases so points whose worker
 //                       died are requeued after a TTL.
 //
-// WorkSourceSpec is the value-type description of a source ("static:1/4",
-// "lease:cache-dir:30") that ExecutionPlan carries and the runner turns
-// into a live source per run — sources themselves are stateful and bound
-// to one grid.
+// WorkSourceSpec is the value-type description of a source (a static
+// slice, or a lease directory and TTL) that ExecutionPlan carries and the
+// runner turns into a live source per run — sources themselves are
+// stateful and bound to one grid.
 #ifndef XDRS_EXP_WORK_SOURCE_HPP
 #define XDRS_EXP_WORK_SOURCE_HPP
 
@@ -116,8 +116,7 @@ class StaticShardSource final : public WorkSource {
   std::atomic<std::uint64_t> completed_{0};
 };
 
-/// Value-type description of a work source, carried by ExecutionPlan and
-/// parseable from the `sweepctl --source` flag syntax.
+/// Value-type description of a work source, carried by ExecutionPlan.
 struct WorkSourceSpec {
   enum class Kind { kStatic, kLease };
 
@@ -138,15 +137,6 @@ struct WorkSourceSpec {
     s.lease_ttl_s = ttl_s;
     return s;
   }
-
-  /// Parses the CLI syntax: "static:I/N" (I < N) or "lease:DIR[:TTL_S]"
-  /// (TTL in seconds; the tail after the last ':' is the TTL iff it parses
-  /// as a positive number).  Throws std::invalid_argument naming the bad
-  /// piece otherwise.
-  [[nodiscard]] static WorkSourceSpec parse(const std::string& text);
-
-  /// Human-readable rendering ("static:1/4", "lease:cache (ttl 30s)").
-  [[nodiscard]] std::string describe() const;
 };
 
 }  // namespace xdrs::exp

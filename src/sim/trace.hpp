@@ -42,20 +42,15 @@ struct TraceEvent {
   std::uint64_t b{0};
 };
 
-/// What a bounded recorder does once its capacity is reached.
-enum class TraceOverflow : std::uint8_t {
-  kDropOldest,  ///< keep the newest events (evict the oldest half when full)
-  kDecimate,    ///< keep a shape-preserving subsample (stride doubling, as
-                ///< stats::TimeSeries does) spanning the whole run
-};
-
 /// Append-only, in-memory recorder.  Disabled recorders are free:
 /// `record` is a branch on a bool.
 ///
 /// Unbounded by default (capacity 0), which short runs and the existing
 /// tests rely on; long telemetry runs call set_capacity() so a multi-second
-/// simulation cannot grow the trace without limit.  Every event not kept is
-/// counted by dropped(), so exports can state their own completeness.
+/// simulation cannot grow the trace without limit.  A bounded recorder keeps
+/// the newest events, evicting the oldest half when full.  Every event not
+/// kept is counted by dropped(), so exports can state their own
+/// completeness.
 class TraceRecorder {
  public:
   void enable() noexcept { enabled_ = true; }
@@ -63,22 +58,15 @@ class TraceRecorder {
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Bounds the recorder at `capacity` events (0 = unbounded).  Nonzero
-  /// capacities are clamped to at least 2 so both overflow policies can
-  /// make progress.  Storage is reserved up front.
-  void set_capacity(std::size_t capacity, TraceOverflow policy = TraceOverflow::kDropOldest);
+  /// capacities are clamped to at least 2 so eviction always keeps one.
+  /// Storage is reserved up front.
+  void set_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] TraceOverflow overflow_policy() const noexcept { return policy_; }
 
   void record(Time at, TraceCategory category, std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!enabled_) return;
     ++offered_;
-    if (capacity_ != 0) {
-      if (policy_ == TraceOverflow::kDecimate && (offered_ - 1) % stride_ != 0) {
-        ++dropped_;
-        return;
-      }
-      if (events_.size() == capacity_) evict();
-    }
+    if (capacity_ != 0 && events_.size() == capacity_) evict();
     events_.push_back(TraceEvent{at, category, a, b});
   }
 
@@ -86,15 +74,12 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t offered() const noexcept { return offered_; }
   /// Events not retained because of the capacity bound.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Current decimation stride (1 until a kDecimate recorder overflows).
-  [[nodiscard]] std::uint64_t stride() const noexcept { return stride_; }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
   void clear() noexcept {
     events_.clear();
     offered_ = 0;
     dropped_ = 0;
-    stride_ = 1;
   }
 
   /// All events of one category, in time order (records are appended in
@@ -110,10 +95,8 @@ class TraceRecorder {
   std::vector<TraceEvent> events_;
   bool enabled_{false};
   std::size_t capacity_{0};
-  TraceOverflow policy_{TraceOverflow::kDropOldest};
   std::uint64_t offered_{0};
   std::uint64_t dropped_{0};
-  std::uint64_t stride_{1};
 };
 
 }  // namespace xdrs::sim

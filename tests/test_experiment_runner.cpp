@@ -88,14 +88,5 @@ TEST(ExperimentRunner, EmptyGridIsEmptyResult) {
   EXPECT_EQ(res.merged().offered_packets, 0u);
 }
 
-TEST(SweepResult, TableSelectsColumnsByFieldName) {
-  const SweepResult res = ExperimentRunner{}.run(
-      {make_scenario("uniform", 4, 0.5, 7).with_window(500_us, 100_us)});
-  const stats::Table t = res.table({"label", "delivery_ratio", "no_such_field"});
-  const std::string md = t.markdown();
-  EXPECT_NE(md.find("uniform/slotted/islip:2/solstice/instantaneous/hardware/p4/l0.5/s7"), std::string::npos);
-  EXPECT_NE(md.find("no_such_field"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace xdrs::exp

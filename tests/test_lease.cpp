@@ -90,37 +90,6 @@ TEST(StaticShardSource, HandsOutTheOwnedSubsequenceInOrderThenDries) {
   EXPECT_EQ(src.stats().completed, 1u);
 }
 
-// ---- WorkSourceSpec parsing ------------------------------------------------
-
-TEST(WorkSourceSpec, ParsesStaticAndLeaseSyntax) {
-  const WorkSourceSpec st = WorkSourceSpec::parse("static:1/4");
-  EXPECT_EQ(st.kind, WorkSourceSpec::Kind::kStatic);
-  EXPECT_EQ(st.shard.index, 1u);
-  EXPECT_EQ(st.shard.count, 4u);
-  EXPECT_EQ(st.describe(), "static:1/4");
-
-  const WorkSourceSpec le = WorkSourceSpec::parse("lease:cache-dir:30");
-  EXPECT_EQ(le.kind, WorkSourceSpec::Kind::kLease);
-  EXPECT_EQ(le.lease_dir, "cache-dir");
-  EXPECT_EQ(le.lease_ttl_s, 30.0);
-
-  // No TTL: the whole tail is the directory, default TTL.
-  EXPECT_EQ(WorkSourceSpec::parse("lease:cache-dir").lease_dir, "cache-dir");
-  EXPECT_EQ(WorkSourceSpec::parse("lease:cache-dir").lease_ttl_s, 60.0);
-  // A colon-bearing path stays usable when the final segment is not numeric.
-  EXPECT_EQ(WorkSourceSpec::parse("lease:/mnt/a:b/cache").lease_dir, "/mnt/a:b/cache");
-  EXPECT_EQ(WorkSourceSpec::parse("lease:/mnt/a:b/cache:15.5").lease_dir, "/mnt/a:b/cache");
-}
-
-TEST(WorkSourceSpec, RejectsMalformedSpecsNamingThePiece) {
-  EXPECT_THROW((void)WorkSourceSpec::parse("static:2/2"), std::invalid_argument);
-  EXPECT_THROW((void)WorkSourceSpec::parse("static:x/2"), std::invalid_argument);
-  EXPECT_THROW((void)WorkSourceSpec::parse("lease:"), std::invalid_argument);
-  EXPECT_THROW((void)WorkSourceSpec::parse("lease:dir:0"), std::invalid_argument);
-  EXPECT_THROW((void)WorkSourceSpec::parse("lease:dir:-1"), std::invalid_argument);
-  EXPECT_THROW((void)WorkSourceSpec::parse("roundrobin:dir"), std::invalid_argument);
-}
-
 // ---- ExecutionPlan validation ---------------------------------------------
 
 TEST(ExecutionPlan, ResolvedSourceNamesTheBadField) {

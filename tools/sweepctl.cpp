@@ -10,7 +10,8 @@
 //   host A$ sweepctl run --preset small --shard 0/2 --cache cache/ --out shard0.json
 //   host B$ sweepctl run --preset small --shard 1/2 --cache cache/ --out shard1.json
 //        $ sweepctl merge --preset small --out sweep.json shard0.json shard1.json
-//        $ cmp sweep.json <(bench_sweep --json=/dev/stdout ...)   # byte-identical
+//        $ sweepctl run --preset small --out whole.json
+//        $ cmp sweep.json whole.json   # byte-identical
 //
 // Elastic workers (lease-based work stealing — any number of processes,
 // join or die at any time, one slow host no longer gates the sweep):
@@ -66,15 +67,13 @@ int usage(const char* error = nullptr) {
                "                                directory, estimate each preset's wall from\n"
                "                                the per-point walls recorded there, so fleet\n"
                "                                sizing is one command\n"
-               "  run    --preset NAME [--source SPEC | --shard I/N | --claim DIR [--ttl S]]\n"
+               "  run    --preset NAME [--shard I/N | --claim DIR [--ttl S]]\n"
                "         [--cache DIR] [--threads N] [--out FILE] [--csv FILE]\n"
                "         [--telemetry DIR] [--progress]\n"
-               "                                run the grid, one static shard of it, or an\n"
-               "                                elastic lease-claiming worker's share.\n"
-               "                                --source static:I/N | lease:DIR[:TTL_S];\n"
-               "                                --shard I/N is sugar for --source static:I/N,\n"
-               "                                --claim DIR for --source lease:DIR (and uses\n"
-               "                                DIR as the result cache).\n"
+               "                                run the grid, one static shard of it\n"
+               "                                (--shard), or an elastic lease-claiming\n"
+               "                                worker's share (--claim; DIR is also the\n"
+               "                                result cache).\n"
                "                                whole grid: writes the sweep artefact JSON;\n"
                "                                shard/lease: writes a shard file for merge.\n"
                "                                --telemetry drops a per-point sidecar into DIR\n"
@@ -118,8 +117,7 @@ struct Options {
   std::string telemetry_dir;
   std::string scenario;  // trace
   std::string policies;  // trace; empty = the scenario's default stack
-  std::string source_spec;  // --source static:I/N | lease:DIR[:TTL]
-  std::string claim_dir;    // --claim; sugar for --source lease:DIR
+  std::string claim_dir;    // --claim: lease-claiming elastic worker
   exp::ShardOptions shard{};
   bool shard_given{false};
   double ttl_s{60.0};           // --ttl; lease TTL for --claim and --leases
@@ -175,9 +173,6 @@ bool parse(int argc, char** argv, Options& opt) {
       } else if (key == "--shard") {
         if (!value() || !parse_shard(val, opt.shard)) return false;
         opt.shard_given = true;
-      } else if (key == "--source") {
-        if (!value()) return false;
-        opt.source_spec = val;
       } else if (key == "--claim") {
         if (!value()) return false;
         opt.claim_dir = val;
@@ -297,19 +292,15 @@ int cmd_presets(const Options& opt) {
   return 0;
 }
 
-/// Folds the --shard/--source/--claim sugar into one WorkSourceSpec;
+/// Folds --shard or --claim into one WorkSourceSpec;
 /// ExecutionPlan::resolved_source() stays the single validation path for
-/// field values, this only rejects contradictory flag combinations.
+/// field values, this only rejects the contradictory combination.
 exp::WorkSourceSpec resolve_source_flags(const Options& opt) {
-  const int given = (opt.shard_given ? 1 : 0) + (opt.source_spec.empty() ? 0 : 1) +
-                    (opt.claim_dir.empty() ? 0 : 1);
-  if (given > 1) {
-    throw std::invalid_argument{"--shard, --source and --claim are mutually exclusive"};
+  if (opt.shard_given && !opt.claim_dir.empty()) {
+    throw std::invalid_argument{"--shard and --claim are mutually exclusive"};
   }
-  if (opt.shard_given) return exp::WorkSourceSpec::static_shard(opt.shard);
-  if (!opt.source_spec.empty()) return exp::WorkSourceSpec::parse(opt.source_spec);
   if (!opt.claim_dir.empty()) return exp::WorkSourceSpec::lease(opt.claim_dir, opt.ttl_s);
-  return {};
+  return exp::WorkSourceSpec::static_shard(opt.shard);
 }
 
 int cmd_run(const Options& opt) {
@@ -749,7 +740,7 @@ int cmd_trace(const Options& opt) {
   sim::TraceRecorder& trace = ft->rack(0).trace();
   // Bounded tracing: drop-oldest keeps the trace's tail contiguous, so
   // start/done pairs still fold into duration slices after overflow.
-  trace.set_capacity(1 << 20, sim::TraceOverflow::kDropOldest);
+  trace.set_capacity(1 << 20);
   trace.enable();
   ft->enable_telemetry(tc);
   (void)ft->run(spec.duration, spec.warmup);
