@@ -108,6 +108,11 @@ void SchedulingLogic::decide_slotted() {
   // skew, which is the point of the synchronisation experiments.
   const Time window_end = sim_.now() + cfg_.slot_time - cfg_.ocs_path_latency();
   sim_.schedule(b.total(), [this, m = std::move(m), epoch, slot_capacity, window_end] {
+    // A newer decision has started: this one's window, which closes a slot
+    // after it started, is already shut, and retuning now would cut the
+    // newer window's packets.  So slotted retunes apply in decision order,
+    // each at or after its own tick, when the previous window has cleared.
+    if (epoch != epoch_counter_) return;
     switching_.configure(
         *m,
         [this, m, epoch, slot_capacity, window_end](Time up) {
@@ -192,6 +197,14 @@ void SchedulingLogic::run_plan_slot(std::shared_ptr<schedulers::CircuitPlan> pla
   // A newer epoch's plan supersedes this one.
   if (epoch != epoch_counter_) return;
   if (k >= plan->slots.size()) return;
+  // Never retune under an open window: a plan that finished computing
+  // before the previous plan's last window cleared the fabric waits for it.
+  if (sim_.now() < released_at_) {
+    sim_.schedule_at(released_at_, [this, plan = std::move(plan), k, epoch, deadline] {
+      run_plan_slot(plan, k, epoch, deadline);
+    });
+    return;
+  }
   // No room left before the next epoch replans: stop the day sequence.
   if (sim_.now() + cfg_.ocs_reconfig >= deadline) return;
   const schedulers::CircuitSlot& slot = plan->slots[k];
@@ -208,6 +221,9 @@ void SchedulingLogic::run_plan_slot(std::shared_ptr<schedulers::CircuitPlan> pla
       slot.configuration,
       [this, plan, k, epoch, hold, deadline](Time up) {
         if (epoch != epoch_counter_) return;
+        // This slot's windows must clear the fabric by the next retune: the
+        // next slot's at up + hold, or the next plan's after the deadline.
+        released_at_ = std::min(up + hold, deadline);
         const schedulers::CircuitSlot& s = plan->slots[k];
         control::GrantSet gs;
         gs.epoch = epoch;
@@ -220,9 +236,7 @@ void SchedulingLogic::run_plan_slot(std::shared_ptr<schedulers::CircuitPlan> pla
           g.bytes = s.weight_bytes;
           g.via = control::FabricPath::kOcs;
           g.valid_from = up + guard;
-          // The next slot retunes at up + hold: close the window early
-          // enough for the last packet to clear the fabric.
-          g.valid_until = std::min(up + hold, deadline) - cfg_.ocs_path_latency() - guard;
+          g.valid_until = released_at_ - cfg_.ocs_path_latency() - guard;
           if (g.valid_until > g.valid_from) gs.grants.push_back(g);
         });
         if (grant_cb_ && !gs.grants.empty()) grant_cb_(gs);

@@ -98,7 +98,9 @@ class SchedulingLogic {
   void tick();
   void decide_slotted();
   void decide_hybrid();
-  /// Executes hybrid plan slot `k`: configure, wait, grant, advance.
+  /// Executes hybrid plan slot `k`: configure, wait, grant, advance.  A
+  /// slot reached before released_at_ waits for it, so a plan never
+  /// retunes under the previous plan's open window.
   /// `deadline` is the end of this epoch's planning horizon: no window may
   /// extend past it, so stale grants can never collide with the next
   /// epoch's reconfiguration (hosts with clock skew still can — that is
@@ -127,6 +129,9 @@ class SchedulingLogic {
   demand::DemandMatrix demand_;
   control::TimingBreakdown last_breakdown_;
   std::uint64_t epoch_counter_{0};
+  /// When the running hybrid configuration's last window has cleared the
+  /// fabric; no plan slot retunes the OCS before it.
+  sim::Time released_at_{};
   SchedulingStats stats_;
 
   // Recycled decision buffers.  Each decision borrows an entry whose only

@@ -114,6 +114,28 @@ TEST(Framework, SlottedWindowsEndBeforeTheNextRetuneCutsAPacket) {
   }
 }
 
+TEST(Framework, HybridRetunesWaitForTheRunningPlansWindows) {
+  // Saturated permutation pairs under hardware-timed Solstice: a plan with
+  // fewer slots computes faster than the one before it, so without
+  // sequencing the next epoch's first retune falls inside the previous
+  // plan's last window and cuts the packets still on the fabric.
+  for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
+    FrameworkConfig c = fast_hybrid(8);
+    c.placement = placement;
+    HybridSwitchFramework fw{c};
+    fw.set_policies(PolicyStack{});
+    topo::WorkloadSpec spec;
+    spec.kind = topo::WorkloadSpec::Kind::kPermutation;
+    spec.load = 0.95;
+    topo::attach_workload(fw, spec);
+    const RunReport r = fw.run(10_ms, 1_ms);
+    EXPECT_GT(r.ocs_bytes, 0);
+    EXPECT_GT(r.delivery_ratio(), 0.99) << to_string(placement) << ": " << r.summary();
+    EXPECT_EQ(r.reconfig_cuts, 0u) << to_string(placement) << ": " << r.summary();
+    EXPECT_EQ(r.sync_losses, 0u) << to_string(placement) << ": " << r.summary();
+  }
+}
+
 TEST(Framework, OcsCarriesElephantsEpsCarriesResidual) {
   FrameworkConfig c = fast_hybrid();
   HybridSwitchFramework fw{c};

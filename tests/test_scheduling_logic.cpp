@@ -61,6 +61,21 @@ FrameworkConfig hybrid_config() {
   return c;
 }
 
+/// Decision latencies alternating around a 10 us slot: 15 us, then 2 us.
+class AlternatingTimingModel final : public control::SchedulerTimingModel {
+ public:
+  [[nodiscard]] control::TimingBreakdown decision_latency(std::uint32_t, std::uint32_t,
+                                                          bool) const override {
+    control::TimingBreakdown b;
+    b.schedule_computation = calls_++ % 2 == 0 ? 15_us : 2_us;
+    return b;
+  }
+  [[nodiscard]] std::string name() const override { return "alternating"; }
+
+ private:
+  mutable std::uint64_t calls_{0};
+};
+
 TEST(SwitchingLogic, ConfigureFiresReadyAfterDarkPeriod) {
   Rig rig{slotted_config()};
   std::vector<Time> ready_at;
@@ -166,6 +181,31 @@ TEST(SchedulingLogic, SlottedSlotShorterThanSoftwareLoopStarves) {
   rig.sim.run_until(10_ms);
   EXPECT_TRUE(rig.grants.empty());
   EXPECT_GT(rig.sched->stats().decisions, 100u);  // it keeps deciding, uselessly
+}
+
+TEST(SchedulingLogic, SlottedRetunesNeverFallInsideANewerDecisionsWindow) {
+  // Every slow decision completes after the next, fast one has retuned the
+  // OCS and opened its window.  Applying the slow one then would retune
+  // under that window and cut its packets, so it must be dropped.
+  Rig rig{slotted_config()};
+  rig.trace.enable();
+  rig.sched->set_matcher(std::make_unique<schedulers::IslipMatcher>(4, 2));
+  rig.sched->set_timing_model(std::make_unique<AlternatingTimingModel>());
+  rig.sched->on_arrival(0, 1, 1 << 20, Time::zero());
+  rig.sched->start();
+  rig.sim.run_until(200_us);
+
+  const std::vector<sim::TraceEvent> retunes =
+      rig.trace.filter(sim::TraceCategory::kReconfigStart);
+  ASSERT_FALSE(rig.grants.empty());
+  ASSERT_FALSE(retunes.empty());
+  for (const control::Grant& g : rig.grants) {
+    for (const sim::TraceEvent& r : retunes) {
+      EXPECT_FALSE(r.at >= g.valid_from && r.at < g.valid_until + rig.cfg.ocs_path_latency())
+          << "retune at " << r.at.us() << " us inside the window [" << g.valid_from.us() << ", "
+          << g.valid_until.us() << "] us";
+    }
+  }
 }
 
 TEST(SchedulingLogic, HybridEmitsEpsResidualAndCircuitSlots) {
