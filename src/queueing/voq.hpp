@@ -9,21 +9,28 @@
 //
 // Storage is one node pool per bank, not a container per VOQ: a 128-port
 // bank has 16,384 VOQs, nearly all short or empty, and every packet passes
-// through one.  Nodes hold a packet and the index of the next node in its
-// VOQ; they live in fixed-size chunks that are never reallocated, so a
-// `peek()` pointer stays valid until that packet is dequeued and growing
-// the pool copies nothing.  Dequeued nodes go on a LIFO free list and are
-// reused first.  A VOQ is then just {head, tail, count, bytes}: building a
-// bank allocates its cell array and nothing per VOQ, the pool grows only to
-// the bank's peak occupancy, and steady-state enqueue/dequeue allocates
-// nothing.
+// through one.  A node is just a packet's bytes, in fixed-size chunks that
+// are never reallocated and are left unconstructed until a packet is copied
+// in, so growing the pool writes nothing and moves nothing.  The links (the
+// next node of a VOQ, or of the LIFO free list that dequeued nodes go on)
+// live apart from the packets in one array of `uint32_t`, so appending to a
+// VOQ or taking a free node touches that small array and not the cold
+// packet behind the link.  A VOQ is then just {head, tail, count, bytes}:
+// building a bank allocates its cell array and nothing per VOQ, the pool
+// grows only to the bank's peak occupancy, and steady-state
+// enqueue/dequeue allocates nothing.
+//
+// `dequeue` hands back a pointer to the packet in its node, which is not
+// overwritten until a later enqueue reuses that node, and it prefetches the
+// VOQ's next head, whose service is usually the next thing asked of it.
 #ifndef XDRS_QUEUEING_VOQ_HPP
 #define XDRS_QUEUEING_VOQ_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <new>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -69,8 +76,10 @@ class VoqBank {
   /// when an admission limit would be exceeded.
   bool enqueue(net::PortId input, const net::Packet& p);
 
-  /// Removes the head-of-line packet of VOQ(input, output), if any.
-  std::optional<net::Packet> dequeue(net::PortId input, net::PortId output);
+  /// Removes the head-of-line packet of VOQ(input, output) and returns it,
+  /// or null when that VOQ is empty.  The packet stays readable, whatever
+  /// else is dequeued meanwhile, until the bank's next enqueue.
+  const net::Packet* dequeue(net::PortId input, net::PortId output);
 
   /// Head-of-line packet without removal; the pointer stays valid until
   /// that packet is dequeued, whatever else the bank admits meanwhile.
@@ -102,11 +111,10 @@ class VoqBank {
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   static constexpr std::uint32_t kChunkNodes = 256;
 
-  struct Node {
-    net::Packet packet;
-    /// Next node of the same VOQ (unset on its tail, which is never
-    /// followed), or of the free list.
-    std::uint32_t next{kNil};
+  /// Raw storage for kChunkNodes packets, on a cache-line boundary so that
+  /// each 96-byte packet spans two lines, never three.
+  struct alignas(64) Chunk {
+    std::byte bytes[kChunkNodes * sizeof(net::Packet)];
   };
   struct Cell {
     std::uint32_t head{kNil};
@@ -119,11 +127,13 @@ class VoqBank {
   [[nodiscard]] const Cell& cell(net::PortId input, net::PortId output) const;
   void check_ports(net::PortId input, net::PortId output) const;
 
-  [[nodiscard]] Node& node(std::uint32_t i) noexcept {
-    return chunks_[i / kChunkNodes][i % kChunkNodes];
+  [[nodiscard]] net::Packet* slot(std::uint32_t i) const noexcept {
+    return reinterpret_cast<net::Packet*>(chunks_[i / kChunkNodes]->bytes +
+                                          i % kChunkNodes * sizeof(net::Packet));
   }
-  [[nodiscard]] const Node& node(std::uint32_t i) const noexcept {
-    return chunks_[i / kChunkNodes][i % kChunkNodes];
+  /// The packet in node `i`, which an enqueue has constructed.
+  [[nodiscard]] const net::Packet& packet(std::uint32_t i) const noexcept {
+    return *std::launder(slot(i));
   }
   /// A free node: the free list's head, else a fresh one (adding a chunk
   /// when the last is full).
@@ -133,7 +143,10 @@ class VoqBank {
   std::uint32_t outputs_;
   VoqLimits limits_;
   std::vector<Cell> cells_;                      // row-major [input][output]
-  std::vector<std::unique_ptr<Node[]>> chunks_;  // the node pool
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // the node pool
+  /// Per node: the next node of its VOQ (unset on a tail, which is never
+  /// followed) or of the free list.
+  std::vector<std::uint32_t> next_;
   std::uint32_t nodes_{0};                       // nodes handed out so far
   std::uint32_t free_head_{kNil};
   std::vector<std::int64_t> input_bytes_;        // per-input occupancy

@@ -33,13 +33,13 @@ TEST(VoqBank, EnqueueDequeueFifo) {
   VoqBank b{2, 2};
   EXPECT_TRUE(b.enqueue(0, pkt(0, 1, 100, 1)));
   EXPECT_TRUE(b.enqueue(0, pkt(0, 1, 200, 2)));
-  auto first = b.dequeue(0, 1);
-  ASSERT_TRUE(first.has_value());
+  const net::Packet* first = b.dequeue(0, 1);
+  ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->id, 1u);
-  auto second = b.dequeue(0, 1);
-  ASSERT_TRUE(second.has_value());
+  const net::Packet* second = b.dequeue(0, 1);
+  ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->id, 2u);
-  EXPECT_FALSE(b.dequeue(0, 1).has_value());
+  EXPECT_EQ(b.dequeue(0, 1), nullptr);
 }
 
 TEST(VoqBank, ByteAndPacketAccounting) {
@@ -178,8 +178,8 @@ TEST(VoqBank, EnqueueStampsNothingButStoresPacketVerbatim) {
   net::Packet p = pkt(0, 1, 64, 7);
   p.flow = 1234;
   (void)b.enqueue(0, p);
-  const auto out = b.dequeue(0, 1);
-  ASSERT_TRUE(out.has_value());
+  const net::Packet* out = b.dequeue(0, 1);
+  ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->flow, 1234u);
   EXPECT_EQ(out->id, 7u);
   EXPECT_EQ(out->size_bytes, 64);
@@ -198,7 +198,7 @@ TEST_P(VoqConservation, BytesConservedUnderRandomOps) {
     if (rng.bernoulli(0.6)) {
       const std::int64_t sz = rng.uniform_int(64, 1500);
       if (b.enqueue(i, pkt(i, j, sz))) in += sz;
-    } else if (const auto p = b.dequeue(i, j)) {
+    } else if (const net::Packet* p = b.dequeue(i, j)) {
       out += p->size_bytes;
     }
   }
@@ -295,9 +295,9 @@ TEST_P(VoqModelCheck, MatchesDequeReference) {
 
     const auto dequeue = [&](net::PortId i, net::PortId j) {
       auto& fifo = m.q(i, j);
-      const auto got = b.dequeue(i, j);
-      ASSERT_EQ(got.has_value(), !fifo.empty());
-      if (!got) return;
+      const net::Packet* got = b.dequeue(i, j);
+      ASSERT_EQ(got != nullptr, !fifo.empty());
+      if (got == nullptr) return;
       const net::Packet want = fifo.front();
       fifo.pop_front();
       ASSERT_EQ(got->id, want.id);
@@ -393,9 +393,54 @@ TEST(VoqBank, PeekPointerSurvivesPoolGrowth) {
   EXPECT_EQ(head->id, 1u);
   EXPECT_EQ(head->flow, 42u);
   EXPECT_EQ(head->size_bytes, 777);
-  const auto out = b.dequeue(3, 5);
-  ASSERT_TRUE(out.has_value());
+  const net::Packet* out = b.dequeue(3, 5);
+  ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->id, 1u);
+}
+
+TEST(VoqBank, DequeueKeepsFifoOrderAcrossChunksOfInterleavedVoqs) {
+  // 1,200 packets spread round-robin over six VOQs fill five 256-node
+  // chunks, so every VOQ's list hops between chunks; each VOQ must still
+  // hand its packets back in arrival order.
+  constexpr net::PortId kVoqs = 6;
+  constexpr std::uint64_t kPackets = 1'200;
+  VoqBank b{kVoqs, kVoqs};
+  for (std::uint64_t id = 0; id < kPackets; ++id) {
+    const auto i = static_cast<net::PortId>(id % kVoqs);
+    const auto j = static_cast<net::PortId>((id * 5) % kVoqs);
+    ASSERT_TRUE(b.enqueue(i, pkt(i, j, 64 + static_cast<std::int64_t>(id), id)));
+  }
+  for (net::PortId i = 0; i < kVoqs; ++i) {
+    const auto j = static_cast<net::PortId>((i * 5) % kVoqs);
+    std::uint64_t want = i;
+    while (const net::Packet* p = b.dequeue(i, j)) {
+      ASSERT_EQ(p->id, want);
+      ASSERT_EQ(p->size_bytes, 64 + static_cast<std::int64_t>(want));
+      want += kVoqs;
+    }
+    EXPECT_EQ(want - kVoqs, i + kPackets - kVoqs);
+  }
+  EXPECT_EQ(b.total_packets(), 0);
+}
+
+TEST(VoqBank, DequeuedPacketHoldsUntilTheNextEnqueue) {
+  VoqBank b{2, 2};
+  net::Packet first = pkt(0, 1, 700, 1);
+  first.flow = 99;
+  ASSERT_TRUE(b.enqueue(0, first));
+  ASSERT_TRUE(b.enqueue(0, pkt(0, 1, 64, 2)));
+  ASSERT_TRUE(b.enqueue(1, pkt(1, 0, 128, 3)));
+
+  const net::Packet* out = b.dequeue(0, 1);
+  ASSERT_NE(out, nullptr);
+  // Further dequeues, of the same VOQ and of another, leave it intact.
+  ASSERT_NE(b.dequeue(0, 1), nullptr);
+  ASSERT_NE(b.dequeue(1, 0), nullptr);
+  EXPECT_EQ(b.dequeue(0, 1), nullptr);
+  EXPECT_EQ(out->id, 1u);
+  EXPECT_EQ(out->flow, 99u);
+  EXPECT_EQ(out->size_bytes, 700);
+  EXPECT_EQ(b.total_bytes(), 0);
 }
 
 }  // namespace
