@@ -160,7 +160,9 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
     return;
   }
 
-  net::Packet p = *voqs_.dequeue(input, g.dst);
+  // `p` lives in the VOQ node just freed: nothing below enqueues into the
+  // bank, so it holds until the OCS or the wire has copied it.
+  const net::Packet& p = *voqs_.dequeue(input, g.dst);
   if (departure_cb_) departure_cb_(input, g.dst, p.size_bytes, now);
   trace_.record(now, TraceCategory::kDequeue, input, g.dst);
   ++stats_.granted_ocs_packets;
@@ -219,7 +221,7 @@ void ProcessingLogic::pump_eps(net::PortId input) {
   if (st.eps_grants.empty()) return;
 
   EpsGrant& eg = st.eps_grants.front();
-  net::Packet p = *voqs_.dequeue(input, eg.grant.dst);
+  const net::Packet& p = *voqs_.dequeue(input, eg.grant.dst);  // held until offered
   eg.remaining -= p.size_bytes;
   if (departure_cb_) departure_cb_(input, eg.grant.dst, p.size_bytes, now);
   trace_.record(now, TraceCategory::kDequeue, input, eg.grant.dst);
