@@ -55,32 +55,41 @@ void ProcessingLogic::ingest(const net::Packet& p) {
   stats_.ingested_bytes += p.size_bytes;
   trace_.record(sim_.now(), TraceCategory::kPacketArrival, p.src, p.dst);
 
-  // Classification: look-up rules may retarget the VOQ / service class.
-  net::Packet pkt = p;
-  const net::Verdict fallback{p.dst, p.tclass};
-  const net::Verdict v = classifier_.classify(pkt, fallback);
-  pkt.dst = v.out_port;
-  pkt.tclass = v.tclass;
-
   if (cfg_.placement == BufferPlacement::kToRSwitch) {
     // Packets traverse the host uplink before reaching switch VOQs.
-    sim_.schedule(cfg_.link_latency, [this, pkt]() mutable {
-      if (pkt.tclass == net::TrafficClass::kLatencySensitive) {
-        // Mice / interactive traffic never waits for circuits: straight to
-        // the packet switch (possible precisely because buffering and
-        // forwarding happen inside the ToR in this placement).
-        ++stats_.eps_bypass_packets;
-        eps_wires_[pkt.src].offer(pkt);
-        return;
-      }
-      enqueue(pkt);
-    });
+    ingress_bytes_ += classify(ingress_.push(p)).size_bytes;
+    sim_.schedule(cfg_.link_latency, [this] { arrive_at_tor(); });
   } else {
     // Host-buffered: ALL traffic waits in host queues for a grant — "packets
     // stored in the host can be passed to the switch only at appropriate
     // times, upon a grant from the scheduler" (§2).
-    enqueue(pkt);
+    net::Packet pkt = p;
+    enqueue(classify(pkt));
   }
+}
+
+net::Packet& ProcessingLogic::classify(net::Packet& p) {
+  // Look-up rules may retarget the VOQ / service class.
+  const net::Verdict v = classifier_.classify(p, net::Verdict{p.dst, p.tclass});
+  p.dst = v.out_port;
+  p.tclass = v.tclass;
+  return p;
+}
+
+void ProcessingLogic::arrive_at_tor() {
+  // Every hop takes the same link latency, so packets arrive in the order
+  // they were ingested.
+  const net::Packet& p = ingress_.pop_front();
+  ingress_bytes_ -= p.size_bytes;
+  if (p.tclass == net::TrafficClass::kLatencySensitive) {
+    // Mice / interactive traffic never waits for circuits: straight to the
+    // packet switch (possible precisely because buffering and forwarding
+    // happen inside the ToR in this placement).
+    ++stats_.eps_bypass_packets;
+    eps_wires_[p.src].offer(p);
+    return;
+  }
+  enqueue(p);
 }
 
 void ProcessingLogic::enqueue(const net::Packet& p) {

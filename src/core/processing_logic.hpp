@@ -33,6 +33,7 @@
 #include "sim/trace.hpp"
 #include "switching/eps.hpp"
 #include "switching/ocs.hpp"
+#include "util/fifo.hpp"
 
 namespace xdrs::core {
 
@@ -78,6 +79,10 @@ class ProcessingLogic {
   [[nodiscard]] const queueing::VoqBank& voqs() const noexcept { return voqs_; }
   [[nodiscard]] const ProcessingStats& stats() const noexcept { return stats_; }
 
+  /// Bytes ingested in ToR placement that are still crossing the host
+  /// uplink to the switch.
+  [[nodiscard]] std::int64_t ingress_hop_bytes() const noexcept { return ingress_bytes_; }
+
  private:
   struct EpsGrant {
     control::Grant grant;
@@ -97,6 +102,10 @@ class ProcessingLogic {
     std::deque<EpsGrant> eps_grants;
   };
 
+  /// Applies the classifier's verdict to `p` in place.
+  net::Packet& classify(net::Packet& p);
+  /// The oldest packet on the host uplink reaches the ToR (ToR placement).
+  void arrive_at_tor();
   void enqueue(const net::Packet& p);
   /// Serves the held OCS grant of `input`: launches the VOQ head if the
   /// window is open and the wire is free, else (re)arms the input's single
@@ -124,6 +133,9 @@ class ProcessingLogic {
   queueing::VoqBank voqs_;
   std::vector<InputState> inputs_;
   std::vector<queueing::DrainQueue> eps_wires_;  ///< per input, into the EPS
+  /// Packets on the host uplinks (ToR placement), oldest first.
+  util::Fifo<net::Packet> ingress_;
+  std::int64_t ingress_bytes_{0};
   RequestCallback request_cb_;
   VoqEventCallback arrival_cb_;
   VoqEventCallback departure_cb_;

@@ -6,6 +6,12 @@
 // space until its last bit is sent.  Latency zero delivers inline at the
 // end of serialisation; a positive latency models propagation pipelined
 // behind serialisation, as a real link does.
+//
+// The queue owns every packet it holds, in FIFOs of its own: two lanes
+// (normal and priority) while queued or serialising, and one while
+// propagating.  Its events carry only `this` and a lane, and each takes
+// the packet from the front of its FIFO, because serialisations end, and
+// propagations land, in the order they started.
 #ifndef XDRS_QUEUEING_DRAIN_QUEUE_HPP
 #define XDRS_QUEUEING_DRAIN_QUEUE_HPP
 
@@ -17,11 +23,15 @@
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
+#include "util/fifo.hpp"
 
 namespace xdrs::queueing {
 
 class DrainQueue {
  public:
+  /// Receives each packet as it leaves the link.  The packet is the
+  /// queue's own and is readable for the call; the sink must not offer
+  /// to the queue that calls it.
   using Sink = std::function<void(const net::Packet&)>;
   using IdleHook = std::function<void()>;
 
@@ -51,6 +61,8 @@ class DrainQueue {
     return lanes_[0].size() + lanes_[1].size();
   }
   [[nodiscard]] std::int64_t queue_bytes() const noexcept { return queue_bytes_; }
+  /// Bytes serialised onto the link and not yet handed to the sink.
+  [[nodiscard]] std::int64_t propagating_bytes() const noexcept { return propagating_bytes_; }
   [[nodiscard]] std::int64_t peak_queue_bytes() const noexcept { return peak_queue_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] std::int64_t dropped_bytes() const noexcept { return dropped_bytes_; }
@@ -64,23 +76,21 @@ class DrainQueue {
   void reset_peak() noexcept { peak_queue_ = queue_bytes_; }
 
  private:
-  /// A vector FIFO: pops advance `head`, and the consumed prefix is erased
-  /// once it is half the storage.  An empty lane allocates nothing.
-  struct Lane {
-    std::vector<net::Packet> items;
-    std::size_t head{0};
-    [[nodiscard]] std::size_t size() const noexcept { return items.size() - head; }
-    void pop() noexcept;
-  };
-
+  /// Starts serialising the next packet, or marks the link idle.
   void drain();
+  /// The packet on the wire from `lane` has been serialised.
+  void finish_serialising(std::size_t lane);
+  /// The oldest propagating packet reaches the sink.
+  void arrive();
 
   Config cfg_;
   sim::Simulator* sim_{nullptr};
   Sink sink_;
   IdleHook on_idle_;
-  Lane lanes_[2];  ///< [0] normal, [1] priority
+  util::Fifo<net::Packet> lanes_[2];  ///< [0] normal, [1] priority
+  util::Fifo<net::Packet> propagating_;
   std::int64_t queue_bytes_{0};
+  std::int64_t propagating_bytes_{0};
   std::int64_t peak_queue_{0};
   std::uint64_t drops_{0};
   std::int64_t dropped_bytes_{0};

@@ -30,9 +30,10 @@ void OpticalCircuitSwitch::reconfigure(const schedulers::Matching& next) {
   // Cut every packet still on the fabric: light stops propagating the
   // instant mirrors start moving.
   for (std::uint32_t in = 0; in < cfg_.ports; ++in) {
-    std::vector<InFlight>& fifo = in_flight_[in];
+    util::Fifo<InFlight>& fifo = in_flight_[in];
     while (!fifo.empty() && fifo.back().delivers > sim_.now()) {
       sim_.cancel(fifo.back().event);
+      in_flight_bytes_ -= fifo.back().packet.size_bytes;
       fifo.pop_back();
       ++stats_.packets_cut_by_reconfig;
     }
@@ -80,14 +81,18 @@ std::optional<sim::Time> OpticalCircuitSwitch::send(net::PortId in, const net::P
   stats_.busy_time_total += tx;
 
   const sim::Time deliver_at = done + cfg_.fabric_latency;
-  net::Packet delivered = p;
-  in_flight_[in].push_back(InFlight{sim_.schedule_at(deliver_at, [this, delivered, in] {
-    in_flight_[in].erase(in_flight_[in].begin());
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += delivered.size_bytes;
-    if (deliver_cb_) deliver_cb_(delivered, delivered.dst);
-  }), deliver_at});
+  InFlight& f = in_flight_[in].push(sim::EventId{}, deliver_at, p);
+  f.event = sim_.schedule_at(deliver_at, [this, in] { deliver(in); });
+  in_flight_bytes_ += p.size_bytes;
   return deliver_at;
+}
+
+void OpticalCircuitSwitch::deliver(net::PortId in) {
+  const InFlight& f = in_flight_[in].pop_front();
+  in_flight_bytes_ -= f.packet.size_bytes;
+  ++stats_.packets_delivered;
+  stats_.bytes_delivered += f.packet.size_bytes;
+  if (deliver_cb_) deliver_cb_(f.packet, f.packet.dst);
 }
 
 sim::Time OpticalCircuitSwitch::port_free_at(net::PortId in) const {

@@ -7,6 +7,12 @@
 // `reconfigure()` and the configured callback, every circuit is down, and
 // packets still on the fabric (serialising or propagating) when darkness
 // falls are lost (counted separately as reconfiguration cuts).
+//
+// The switch owns every packet on its fabric: each input keeps a FIFO of
+// its sends, oldest first.  An input's deliveries land in send order, so a
+// delivery event carries only `this` and the input and takes the FIFO's
+// front, while a retune cuts from the back every send whose delivery is
+// still ahead.
 #ifndef XDRS_SWITCHING_OCS_HPP
 #define XDRS_SWITCHING_OCS_HPP
 
@@ -20,6 +26,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
+#include "util/fifo.hpp"
 
 namespace xdrs::switching {
 
@@ -46,6 +53,9 @@ struct OcsStats {
 
 class OpticalCircuitSwitch {
  public:
+  /// Receives each packet at its egress port.  The packet is the switch's
+  /// own and is readable for the call; the callback must not send on the
+  /// input that delivered it.
   using DeliverCallback = std::function<void(const net::Packet&, net::PortId out)>;
   using ConfiguredCallback = std::function<void(const schedulers::Matching&)>;
 
@@ -80,6 +90,9 @@ class OpticalCircuitSwitch {
   /// Earliest time input `in` can begin serialising a new packet.
   [[nodiscard]] sim::Time port_free_at(net::PortId in) const;
 
+  /// Bytes sent on any input and not yet delivered or cut.
+  [[nodiscard]] std::int64_t in_flight_bytes() const noexcept { return in_flight_bytes_; }
+
   [[nodiscard]] const OcsStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const OcsConfig& config() const noexcept { return cfg_; }
 
@@ -87,10 +100,13 @@ class OpticalCircuitSwitch {
   struct InFlight {
     sim::EventId event{};
     sim::Time delivers{};
+    net::Packet packet;
   };
 
   /// Completes (or retries, under failure injection) a dark period.
   void finish_dark_period();
+  /// The oldest send of input `in` reaches its egress port.
+  void deliver(net::PortId in);
 
   sim::Simulator& sim_;
   OcsConfig cfg_;
@@ -98,11 +114,11 @@ class OpticalCircuitSwitch {
   bool dark_{false};
   sim::EventId dark_end_event_{};
   std::vector<sim::Time> busy_until_;   // per input port
-  /// Per input port: every packet still on the fabric, oldest first.  One
-  /// input's deliveries land in send order, so the front lands next.  A
-  /// handful at most (a fabric latency's worth of serialisations), and
-  /// unlike a deque an empty vector costs no allocation per port.
-  std::vector<std::vector<InFlight>> in_flight_;
+  /// Per input port: every packet still on the fabric, oldest first.  A
+  /// handful at most (a fabric latency's worth of serialisations), and an
+  /// idle input's FIFO allocates nothing.
+  std::vector<util::Fifo<InFlight>> in_flight_;
+  std::int64_t in_flight_bytes_{0};
   sim::Rng failure_rng_;
   DeliverCallback deliver_cb_;
   ConfiguredCallback configured_cb_;
