@@ -33,14 +33,11 @@ const VoqBank::Cell& VoqBank::cell(net::PortId input, net::PortId output) const 
 std::uint32_t VoqBank::acquire_node() {
   if (free_head_ != kNil) {
     const std::uint32_t i = free_head_;
-    free_head_ = next_[i];
+    free_head_ = next(i);
     return i;
   }
   if (nodes_ == kNil) throw std::length_error{"VoqBank: node pool exhausted"};
-  if (nodes_ % kChunkNodes == 0) {
-    chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
-    next_.resize(next_.size() + kChunkNodes);
-  }
+  if (nodes_ % kChunkNodes == 0) chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
   return nodes_++;
 }
 
@@ -73,7 +70,7 @@ bool VoqBank::enqueue(net::PortId input, const net::Packet& p) {
   if (was_empty) {
     c.head = n;
   } else {
-    next_[c.tail] = n;
+    next(c.tail) = n;
   }
   c.tail = n;
   ++c.count;
@@ -96,8 +93,8 @@ const net::Packet* VoqBank::dequeue(net::PortId input, net::PortId output) {
 
   const std::uint32_t n = c.head;
   const net::Packet& p = packet(n);
-  c.head = next_[n];
-  next_[n] = free_head_;
+  c.head = next(n);
+  next(n) = free_head_;
   free_head_ = n;
   if (--c.count != 0) {
     // The next head's two lines, for whoever serves this VOQ next.

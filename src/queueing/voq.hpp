@@ -9,13 +9,14 @@
 //
 // Storage is one node pool per bank, not a container per VOQ: a 128-port
 // bank has 16,384 VOQs, nearly all short or empty, and every packet passes
-// through one.  A node is just a packet's bytes, in fixed-size chunks that
-// are never reallocated and are left unconstructed until a packet is copied
-// in, so growing the pool writes nothing and moves nothing.  The links (the
-// next node of a VOQ, or of the LIFO free list that dequeued nodes go on)
-// live apart from the packets in one array of `uint32_t`, so appending to a
-// VOQ or taking a free node touches that small array and not the cold
-// packet behind the link.  A VOQ is then just {head, tail, count, bytes}:
+// through one.  A node is a packet's bytes and a 4-byte link, in
+// fixed-size chunks that are never reallocated and are left unconstructed
+// until a packet is copied in, so growing the pool writes nothing and moves
+// nothing.  The links (the next node of a VOQ, or of the LIFO free list
+// that dequeued nodes go on) live apart from the packets, in an array of
+// `uint32_t` at the end of each chunk, so appending to a VOQ or taking a
+// free node touches that array and not the cold packet behind the link.
+// A VOQ is then just {head, tail, count, bytes}:
 // building a bank allocates its cell array and nothing per VOQ, the pool
 // grows only to the bank's peak occupancy, and steady-state
 // enqueue/dequeue allocates nothing.
@@ -111,10 +112,14 @@ class VoqBank {
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   static constexpr std::uint32_t kChunkNodes = 256;
 
-  /// Raw storage for kChunkNodes packets, on a cache-line boundary so that
-  /// each 96-byte packet spans two lines, never three.
+  /// kChunkNodes nodes: raw storage for their packets, on a cache-line
+  /// boundary so that each 96-byte packet spans two lines, never three,
+  /// and after it their links.
   struct alignas(64) Chunk {
-    std::byte bytes[kChunkNodes * sizeof(net::Packet)];
+    std::byte packets[kChunkNodes * sizeof(net::Packet)];
+    /// Per node: the next node of its VOQ (unset on a tail, which is never
+    /// followed) or of the free list.
+    std::uint32_t next[kChunkNodes];
   };
   struct Cell {
     std::uint32_t head{kNil};
@@ -128,8 +133,11 @@ class VoqBank {
   void check_ports(net::PortId input, net::PortId output) const;
 
   [[nodiscard]] net::Packet* slot(std::uint32_t i) const noexcept {
-    return reinterpret_cast<net::Packet*>(chunks_[i / kChunkNodes]->bytes +
+    return reinterpret_cast<net::Packet*>(chunks_[i / kChunkNodes]->packets +
                                           i % kChunkNodes * sizeof(net::Packet));
+  }
+  [[nodiscard]] std::uint32_t& next(std::uint32_t i) const noexcept {
+    return chunks_[i / kChunkNodes]->next[i % kChunkNodes];
   }
   /// The packet in node `i`, which an enqueue has constructed.
   [[nodiscard]] const net::Packet& packet(std::uint32_t i) const noexcept {
@@ -144,9 +152,6 @@ class VoqBank {
   VoqLimits limits_;
   std::vector<Cell> cells_;                      // row-major [input][output]
   std::vector<std::unique_ptr<Chunk>> chunks_;  // the node pool
-  /// Per node: the next node of its VOQ (unset on a tail, which is never
-  /// followed) or of the free list.
-  std::vector<std::uint32_t> next_;
   std::uint32_t nodes_{0};                       // nodes handed out so far
   std::uint32_t free_head_{kNil};
   std::vector<std::int64_t> input_bytes_;        // per-input occupancy
