@@ -1,7 +1,8 @@
 // E3a — wall-clock compute cost of each scheduling algorithm vs port count
 // (google-benchmark microbenchmark), plus the steady-state zero-allocation
 // gate CI runs (`--alloc-check`, which also covers the allocation-free
-// circuit planners, the event engine and the VOQ bank), plus a
+// circuit planners, the event engine, the VOQ bank and the packet FIFOs of
+// a DrainQueue and the OCS), plus a
 // self-contained timing mode
 // (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
 // before/after comparisons are recorded, not copy-pasted.
@@ -28,10 +29,12 @@
 #include "demand/demand_matrix.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
+#include "queueing/drain_queue.hpp"
 #include "queueing/voq.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "switching/ocs.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -84,9 +87,10 @@ BENCHMARK(BM_MaxSizeHk)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_MaxWeightHungarian)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_Rotor)->RangeMultiplier(2)->Range(kLo, kHi);
 
-/// Event churn shaped like the framework's packet path: every event captures
-/// `[this, net::Packet, port]` (OCS delivery, EPS pumping), the largest hot
-/// closure, and re-arms itself a few microseconds ahead.  Beside it run the
+/// Event churn shaped like the framework's packet path, with closures at the
+/// inline buffer's limit: every delivery captures `[this, net::Packet,
+/// port]` (the framework's own packet events capture only `this` and a port
+/// or lane) and re-arms itself a few microseconds ahead.  Beside it run the
 /// engine's other shapes: timers 10 us to 10 ms ahead (epochs, flow
 /// arrivals), which sit in the calendar queue's far set; bursts of events at
 /// one timestamp (an epoch boundary); and cancels of both a delivery in
@@ -237,6 +241,96 @@ bool voq_alloc_check() {
   return ok;
 }
 
+/// Packet links at steady state: one DrainQueue with a propagation latency
+/// and strict priority, and an OCS whose circuits are up, both fed one
+/// packet per maximum-size serialisation (each OCS input sends one when its
+/// wire is free), so that about eight packets propagate on each at once.
+class LinkChurn {
+ public:
+  LinkChurn() : queue_{link_config()}, ocs_{sim_, ocs_config()} {
+    queue_.attach(sim_, [this](const net::Packet& p) { bytes_ += p.size_bytes; });
+    ocs_.set_deliver_callback([this](const net::Packet& p, net::PortId) { bytes_ += p.size_bytes; });
+    ocs_.reconfigure(schedulers::Matching::rotation(kInputs, 1));
+    sim_.run();  // the first dark period
+  }
+
+  /// Emits `packets` more packets and runs until every one has arrived.
+  void run(std::uint64_t packets) {
+    budget_ = packets;
+    arm();
+    sim_.run();
+  }
+
+  [[nodiscard]] bool drained() const noexcept {
+    return queue_.queue_bytes() == 0 && queue_.propagating_bytes() == 0 &&
+           ocs_.in_flight_bytes() == 0;
+  }
+
+ private:
+  static constexpr std::uint32_t kInputs = 8;
+
+  static queueing::DrainQueue::Config link_config() {
+    return {.rate = sim::DataRate::gbps(10), .buffer_bytes = 0,
+            .latency = sim::Time::microseconds(10), .strict_priority = true};
+  }
+  static switching::OcsConfig ocs_config() {
+    return {.ports = kInputs, .port_rate = sim::DataRate::gbps(10),
+            .reconfig_time = sim::Time::microseconds(1),
+            .fabric_latency = sim::Time::microseconds(10)};
+  }
+
+  void arm() {
+    sim_.schedule(sim::DataRate::gbps(10).transmission_time(1500 + sim::kWireOverheadBytes),
+                  [this] { emit(); });
+  }
+
+  void emit() {
+    net::Packet p;
+    p.id = ++packets_;
+    p.size_bytes = rng_.uniform_int(64, 1500);
+    p.tclass = rng_.bernoulli(0.2) ? net::TrafficClass::kLatencySensitive
+                                   : net::TrafficClass::kThroughput;
+    (void)queue_.offer(p);
+    for (net::PortId in = 0; in < kInputs; ++in) {
+      if (ocs_.port_free_at(in) > sim_.now()) continue;
+      p.src = in;
+      p.dst = (in + 1) % kInputs;
+      (void)ocs_.send(in, p);
+    }
+    if (--budget_ != 0) arm();
+  }
+
+  sim::Simulator sim_;
+  sim::Rng rng_{5};
+  queueing::DrainQueue queue_;
+  switching::OpticalCircuitSwitch ocs_;
+  std::uint64_t budget_{0};
+  std::uint64_t packets_{0};
+  std::int64_t bytes_{0};
+};
+
+/// The link half of `--alloc-check`: once the DrainQueue's lanes and
+/// propagating FIFO and the OCS's in-flight FIFOs have reached their steady
+/// depth, offering, sending and delivering must not allocate.
+bool link_alloc_check() {
+  constexpr std::uint64_t kWarmupPackets = 10'000;
+  constexpr std::uint64_t kMeasuredPackets = 200'000;
+
+  LinkChurn churn;
+  churn.run(kWarmupPackets);
+  const std::uint64_t before = bench::heap_allocs();
+  churn.run(kMeasuredPackets);
+  const std::uint64_t allocs = bench::heap_allocs() - before;
+
+  const bool ok = allocs == 0 && churn.drained();
+  std::printf("steady-state heap allocations of the packet links (%llu packets each, "
+              "10 us propagation):\n  %-31s %8llu %s\n",
+              static_cast<unsigned long long>(kMeasuredPackets),
+              "DrainQueue + OCS in flight", static_cast<unsigned long long>(allocs),
+              ok ? "OK" : "FAIL");
+  return ok;
+}
+
 /// The planner half of `--alloc-check`: circuit_scheduler.hpp promises
 /// that solstice and cthrough plan without heap allocation once their
 /// workspaces and the recycled plan have grown to the demand's shape.  Each
@@ -280,7 +374,8 @@ bool planner_alloc_check(std::uint32_t ports) {
 /// `--alloc-check`: for every registered matcher spec, warm the decision
 /// loop, then count heap allocations over a steady-state window; then do the
 /// same for the allocation-free circuit planners (planner_alloc_check), the
-/// event engine (engine_alloc_check) and the VOQ bank (voq_alloc_check).
+/// event engine (engine_alloc_check), the VOQ bank (voq_alloc_check) and the
+/// packet FIFOs of a DrainQueue and the OCS (link_alloc_check).
 /// Any allocation is a regression of the allocation-free hot-path contract.
 /// Run at 48, 64 AND 128 ports: 48 is the 2-rack fat-tree ToR shape (32
 /// host ports + 16 uplinks at 2:1 oversubscription) — a non-power-of-two
@@ -329,14 +424,16 @@ int alloc_check() {
   }
   const bool engine_ok = engine_alloc_check();
   const bool voq_ok = voq_alloc_check();
-  if (failures > 0 || !planners_ok || !engine_ok || !voq_ok) {
-    std::fprintf(stderr, "alloc-check: %d matcher config(s)%s%s%s allocate in steady state\n",
+  const bool links_ok = link_alloc_check();
+  if (failures > 0 || !planners_ok || !engine_ok || !voq_ok || !links_ok) {
+    std::fprintf(stderr, "alloc-check: %d matcher config(s)%s%s%s%s allocate in steady state\n",
                  failures, planners_ok ? "" : ", a circuit planner",
-                 engine_ok ? "" : ", the event engine", voq_ok ? "" : ", the VOQ bank");
+                 engine_ok ? "" : ", the event engine", voq_ok ? "" : ", the VOQ bank",
+                 links_ok ? "" : ", the packet links");
     return 1;
   }
-  std::printf("alloc-check: all matchers, the solstice and cthrough planners, the event engine "
-              "and the VOQ bank run allocation-free in steady state\n");
+  std::printf("alloc-check: all matchers, the solstice and cthrough planners, the event engine, "
+              "the VOQ bank and the packet links run allocation-free in steady state\n");
   return 0;
 }
 

@@ -9,9 +9,13 @@
 // is chosen for the cache as much as for allocation:
 //   - a callback is stored in a sim::Callback: an ops pointer followed by a
 //     120-byte inline buffer, 128 bytes in all.  The buffer holds the
-//     framework's largest hot capture (`this`, a 96-byte net::Packet and a
-//     port); a small capture shares the ops pointer's cache line.  Larger
-//     captures, or ones that may throw on move, allocate;
+//     framework's largest captures, a flow generator's continuation (about
+//     80 bytes of per-flow state) and a slotted decision's matching.  No
+//     event carries a packet: each hop keeps its packets in a FIFO of its
+//     own, so a packet event captures `this` and a port, which shares the
+//     ops pointer's cache line.  A smaller buffer would not pay: the
+//     benchmark workloads keep about 50-90 events pending, a slab of about
+//     12 KB.  Larger captures, or ones that may throw on move, allocate;
 //   - callbacks are constructed straight into a slab of fixed-size chunks
 //     that is never reallocated; freed slots are reused, so the slab only
 //     grows to the peak pending depth.  Each chunk keeps, apart from its

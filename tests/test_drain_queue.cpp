@@ -223,6 +223,48 @@ TEST(DrainQueue, PriorityLaneOvertakesQueuedTrafficButNeverPreempts) {
   EXPECT_EQ(q.forwarded_packets(), 4u);
 }
 
+TEST(DrainQueue, PropagatingPacketsArriveInForwardingOrderUnderStrictPriority) {
+  // The priority lane reorders packets at the wire; propagation must keep
+  // that order, each packet landing one latency after it was serialised.
+  sim::Simulator sim;
+  DrainQueue::Config c = config(DataRate::gbps(10), 0, 5_us);
+  c.strict_priority = true;
+  DrainQueue q{c};
+  std::vector<std::uint64_t> order;
+  std::vector<Time> at;
+  q.attach(sim, [&](const net::Packet& p) {
+    order.push_back(p.id);
+    at.push_back(sim.now());
+  });
+  const auto urgent = [](std::uint64_t id) {
+    net::Packet p = packet(id, 200);
+    p.tclass = net::TrafficClass::kLatencySensitive;
+    return p;
+  };
+  ASSERT_TRUE(q.offer(packet(1)));
+  ASSERT_TRUE(q.offer(packet(2)));
+  sim.schedule(100_ns, [&] {
+    ASSERT_TRUE(q.offer(urgent(3)));
+    ASSERT_TRUE(q.offer(urgent(4)));
+  });
+  const Time tx = DataRate::gbps(10).transmission_time(kPacketBytes + sim::kWireOverheadBytes);
+  const Time tx_urgent = DataRate::gbps(10).transmission_time(200 + sim::kWireOverheadBytes);
+  // After packets 1, 3 and 4 have been serialised, all three propagate.
+  sim.run_until(tx + tx_urgent * 2);
+  EXPECT_EQ(q.propagating_bytes(), kPacketBytes + 2 * 200);
+  EXPECT_EQ(q.queue_bytes(), kPacketBytes);
+  sim.run();
+
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 4, 2}));
+  ASSERT_EQ(at.size(), 4u);
+  EXPECT_EQ(at[0], tx + 5_us);
+  EXPECT_EQ(at[1], tx + tx_urgent + 5_us);
+  EXPECT_EQ(at[2], tx + tx_urgent * 2 + 5_us);
+  EXPECT_EQ(at[3], tx * 2 + tx_urgent * 2 + 5_us);
+  EXPECT_EQ(q.propagating_bytes(), 0);
+  EXPECT_EQ(q.queue_bytes(), 0);
+}
+
 TEST(DrainQueue, IdleHookFiresOnceWhenTheLastPacketIsSerialisedBeforeItPropagates) {
   sim::Simulator sim;
   DrainQueue q{config(DataRate::gbps(10), 0, 5_us)};

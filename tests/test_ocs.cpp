@@ -2,6 +2,7 @@
 // connectivity, serialisation pacing and cut-by-reconfiguration semantics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "switching/ocs.hpp"
@@ -152,6 +153,89 @@ TEST(Ocs, ReconfigurationCutsEveryPacketStillOnTheFabric) {
   for (const Time t : deliveries) EXPECT_LE(t, cut);
   EXPECT_EQ(deliveries.size() + ocs.stats().packets_cut_by_reconfig, 4u);
   EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 4u);  // 4 x 1216 ns < 5 us
+}
+
+TEST(Ocs, RetuneCutsExactlyTheSendsStillDueToDeliver) {
+  // Six back-to-back sends on input 0 and two on input 2, with a 5 us
+  // fabric.  The retune fires at input 0's second delivery time, before
+  // that delivery (it was scheduled first): the first send has arrived, the
+  // second is due at this instant and must still arrive, and every later
+  // send, on either input, is cut.
+  sim::Simulator sim;
+  OcsConfig c = base_config();
+  c.fabric_latency = 5_us;
+  OpticalCircuitSwitch ocs{sim, c};
+  ocs.reconfigure(schedulers::Matching::rotation(4, 1));
+  sim.run_until(1_us);
+
+  const auto tx = [&c](std::int64_t bytes) {
+    return c.port_rate.transmission_time(bytes + sim::kWireOverheadBytes);
+  };
+  const Time cut_at = sim.now() + tx(100) + tx(200) + c.fabric_latency;
+  std::int64_t in_flight_at_cut = -1;
+  sim.schedule_at(cut_at, [&] {
+    ocs.reconfigure(schedulers::Matching::rotation(4, 2));
+    in_flight_at_cut = ocs.in_flight_bytes();
+  });
+
+  std::vector<std::uint64_t> delivered;
+  ocs.set_deliver_callback([&](const net::Packet& p, net::PortId out) {
+    EXPECT_EQ(out, p.dst);
+    delivered.push_back(p.id);
+  });
+  std::int64_t sent_bytes = 0;
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    net::Packet p = pkt(0, 1, 100 * static_cast<std::int64_t>(id));
+    p.id = id;
+    const auto at = ocs.send(0, p);
+    ASSERT_TRUE(at.has_value());
+    if (id == 2) EXPECT_EQ(*at, cut_at);
+    sent_bytes += p.size_bytes;
+  }
+  for (std::uint64_t id = 7; id <= 8; ++id) {
+    net::Packet p = pkt(2, 3, 1000);
+    p.id = id;
+    const auto at = ocs.send(2, p);
+    ASSERT_TRUE(at.has_value());
+    EXPECT_GT(*at, cut_at);
+    sent_bytes += p.size_bytes;
+  }
+  EXPECT_EQ(ocs.in_flight_bytes(), sent_bytes);
+
+  sim.run();
+  EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 6u);  // 3-6 and 7-8
+  EXPECT_EQ(in_flight_at_cut, 200);                     // packet 2, due now
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(ocs.stats().bytes_delivered, 300);
+  EXPECT_EQ(ocs.in_flight_bytes(), 0);
+}
+
+TEST(Ocs, InFlightBytesReturnToZeroOnceDelivered) {
+  sim::Simulator sim;
+  OpticalCircuitSwitch ocs{sim, base_config()};
+  ocs.reconfigure(schedulers::Matching::rotation(4, 1));
+  sim.run_until(1_us);
+  std::vector<std::uint64_t> ids;
+  ocs.set_deliver_callback([&](const net::Packet& p, net::PortId) { ids.push_back(p.id); });
+  for (net::PortId in = 0; in < 4; ++in) {
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      net::Packet p = pkt(in, (in + 1) % 4, 64 + static_cast<std::int64_t>(k));
+      p.id = in * 10 + k;
+      ASSERT_TRUE(ocs.send(in, p).has_value());
+    }
+  }
+  EXPECT_EQ(ocs.in_flight_bytes(), 4 * (64 + 65 + 66));
+  sim.run();
+  EXPECT_EQ(ocs.in_flight_bytes(), 0);
+  ASSERT_EQ(ids.size(), 12u);
+  // Each input's packets arrive in the order it sent them.
+  for (net::PortId in = 0; in < 4; ++in) {
+    std::vector<std::uint64_t> mine;
+    for (const std::uint64_t id : ids) {
+      if (id / 10 == in) mine.push_back(id);
+    }
+    EXPECT_EQ(mine, (std::vector<std::uint64_t>{in * 10, in * 10 + 1, in * 10 + 2}));
+  }
 }
 
 TEST(Ocs, CompletedPacketIsNotCut) {

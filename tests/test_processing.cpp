@@ -97,12 +97,29 @@ TEST(Processing, IngestEnqueuesAfterLinkLatencyInTorMode) {
   EXPECT_EQ(rig.proc->voqs().bytes(0, 1), 1500);
 }
 
+TEST(Processing, IngressHopBytesCoverTheUplinkAndReturnToZero) {
+  Rig rig{tor_config()};
+  rig.proc->ingest(pkt(0, 1, 1500));
+  rig.proc->ingest(pkt(1, 2, 500));
+  rig.sim.run_until(100_ns);
+  rig.proc->ingest(pkt(2, 3, 200, net::TrafficClass::kLatencySensitive));
+  EXPECT_EQ(rig.proc->ingress_hop_bytes(), 2200);
+  rig.sim.run_until(550_ns);  // the first two have reached the ToR
+  EXPECT_EQ(rig.proc->ingress_hop_bytes(), 200);
+  EXPECT_EQ(rig.proc->voqs().total_bytes(), 2000);
+  rig.sim.run();
+  EXPECT_EQ(rig.proc->ingress_hop_bytes(), 0);
+  ASSERT_EQ(rig.eps_delivered.size(), 1u);
+  EXPECT_EQ(rig.eps_delivered[0].size_bytes, 200);
+}
+
 TEST(Processing, HostModeEnqueuesImmediately) {
   FrameworkConfig c = tor_config();
   c.placement = BufferPlacement::kHost;
   Rig rig{c};
   rig.proc->ingest(pkt(0, 1, 1500));
   EXPECT_EQ(rig.proc->voqs().total_packets(), 1);
+  EXPECT_EQ(rig.proc->ingress_hop_bytes(), 0);  // no uplink hop in this placement
 }
 
 TEST(Processing, EmitsRequestOnFirstEnqueue) {
