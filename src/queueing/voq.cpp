@@ -98,9 +98,9 @@ const net::Packet* VoqBank::dequeue(net::PortId input, net::PortId output) {
   free_head_ = n;
   if (--c.count != 0) {
     // The next head's two lines, for whoever serves this VOQ next.
-    const auto* next = reinterpret_cast<const char*>(slot(c.head));
-    __builtin_prefetch(next);
-    __builtin_prefetch(next + sizeof(net::Packet) - 1);
+    const auto* line = reinterpret_cast<const char*>(slot(c.head));
+    __builtin_prefetch(line);
+    __builtin_prefetch(line + sizeof(net::Packet) - 1);
   }
   c.bytes -= p.size_bytes;
   input_bytes_[input] -= p.size_bytes;

@@ -23,7 +23,6 @@ class Fifo {
 
   /// Oldest and newest elements; the FIFO must not be empty.
   [[nodiscard]] T& front() noexcept { return items_[head_]; }
-  [[nodiscard]] const T& front() const noexcept { return items_[head_]; }
   [[nodiscard]] T& back() noexcept { return items_.back(); }
 
   /// Appends an element built from `args` and returns it.

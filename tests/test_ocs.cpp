@@ -189,7 +189,9 @@ TEST(Ocs, RetuneCutsExactlyTheSendsStillDueToDeliver) {
     p.id = id;
     const auto at = ocs.send(0, p);
     ASSERT_TRUE(at.has_value());
-    if (id == 2) EXPECT_EQ(*at, cut_at);
+    if (id == 2) {
+      EXPECT_EQ(*at, cut_at);
+    }
     sent_bytes += p.size_bytes;
   }
   for (std::uint64_t id = 7; id <= 8; ++id) {
