@@ -6,7 +6,7 @@ namespace xdrs::core {
 
 void FlowCompletionTracker::on_deliver(const net::Packet& p, sim::Time now) {
   if (p.flow_bytes <= 0) return;
-  FlowState& st = flows_[Key{p.src, p.flow}];
+  FlowState& st = flows_[net::FlowKey::of(p)];
   st.first_created = std::min(st.first_created, p.created_at);
   st.deadline = p.deadline;
   st.flow_bytes = p.flow_bytes;

@@ -70,22 +70,6 @@ class FlowCompletionTracker {
   }
 
  private:
-  // Flow ids are only unique per source port (each generator numbers its
-  // own flows), so the table keys on the (ingress port, flow id) pair.
-  struct Key {
-    net::PortId src{0};
-    net::FlowId flow{0};
-    bool operator==(const Key&) const noexcept = default;
-  };
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      h = (h ^ k.flow) * 0x100000001b3ULL;
-      h = (h ^ k.src) * 0x100000001b3ULL;
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   struct FlowState {
     sim::Time first_created{sim::Time::max()};  ///< earliest packet creation seen
     sim::Time deadline{};                       ///< absolute; zero = none
@@ -96,7 +80,7 @@ class FlowCompletionTracker {
     bool crossed_core{false};  ///< any packet crossed the fat-tree core tier
   };
 
-  std::unordered_map<Key, FlowState, KeyHash> flows_;
+  std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> flows_;
 };
 
 }  // namespace xdrs::core

@@ -113,6 +113,7 @@ obs::TimelineSnapshot HybridSwitchFramework::timeline_snapshot(sim::Time urgent_
 void HybridSwitchFramework::add_generator(std::unique_ptr<traffic::TrafficGenerator> g,
                                           IngressTransform transform) {
   if (!g) throw std::invalid_argument{"Framework: null generator"};
+  g->set_tag(static_cast<std::uint32_t>(generators_.size()));
   generators_.push_back(AttachedGenerator{std::move(g), std::move(transform)});
 }
 
@@ -165,7 +166,7 @@ void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath
   report_.latency.record_time(latency);
   if (p.tclass == net::TrafficClass::kLatencySensitive) {
     report_.latency_sensitive.record_time(latency);
-    flow_jitter_[p.flow].record(p.created_at, sim_.now());
+    flow_jitter_[net::FlowKey::of(p)].record(p.created_at, sim_.now());
   }
   trace_.record(sim_.now(), sim::TraceCategory::kDeliver, p.src, p.dst);
 }

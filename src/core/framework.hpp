@@ -186,7 +186,7 @@ class HybridSwitchFramework {
   sim::Time horizon_{};
   sim::Time measure_start_{};
   RunReport report_;
-  std::unordered_map<net::FlowId, stats::Rfc3550Jitter> flow_jitter_;
+  std::unordered_map<net::FlowKey, stats::Rfc3550Jitter, net::FlowKeyHash> flow_jitter_;
   FlowCompletionTracker completion_;
 
   // Snapshots taken at measurement start, to report deltas.

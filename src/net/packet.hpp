@@ -7,6 +7,7 @@
 #define XDRS_NET_PACKET_HPP
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -57,6 +58,10 @@ struct Packet {
   std::int64_t size_bytes{0};
   FiveTuple tuple{};
   TrafficClass tclass{TrafficClass::kBestEffort};
+  /// Index of the emitting generator among its switch's generators
+  /// (stamped at emission).  Flow ids are only unique per generator, so
+  /// (src, generator, flow) names one flow; see FlowKey.
+  std::uint32_t generator{0};
   sim::Time created_at{};  ///< stamped by the generator at the host
   /// Absolute simulation time by which the owning FLOW should finish.
   /// Zero means "no deadline"; every packet of a flow carries the same
@@ -76,6 +81,29 @@ struct Packet {
   std::uint32_t dst_rack{0};  ///< rack the packet terminates in
   PortId final_dst{0};        ///< host port within dst_rack (cross-rack only)
   bool remote{false};         ///< true iff the packet crosses the core tier
+};
+static_assert(sizeof(Packet) == 96, "the generator tag must stay in Packet's padding");
+
+/// One flow's identity at its delivering switch.  Each generator numbers
+/// its own flows, so the flow id alone repeats across the generators of a
+/// host (and across hosts); the ingress port and generator tag complete it.
+struct FlowKey {
+  PortId src{0};
+  std::uint32_t generator{0};
+  FlowId flow{0};
+  bool operator==(const FlowKey&) const noexcept = default;
+
+  [[nodiscard]] static FlowKey of(const Packet& p) noexcept { return {p.src, p.generator, p.flow}; }
+};
+
+struct FlowKeyHash {
+  [[nodiscard]] std::size_t operator()(const FlowKey& k) const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = (h ^ k.flow) * 0x100000001b3ULL;
+    h = (h ^ k.src) * 0x100000001b3ULL;
+    h = (h ^ k.generator) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(h);
+  }
 };
 
 }  // namespace xdrs::net

@@ -119,8 +119,8 @@ core::HybridSwitchFramework::IngressTransform FatTree::placement_transform(
     p.dst = host + pl.uplink;
     p.remote = true;
     // Rack-namespace the flow id: destination-side completion tracking keys
-    // on (ingress uplink port, flow id), and two racks' generators emit
-    // overlapping id sequences.
+    // on (ingress uplink port, generator tag, flow id), and two racks'
+    // generators emit overlapping id sequences and tags.
     p.flow |= (static_cast<std::uint64_t>(rack) + 1) << 48;
   };
 }

@@ -12,6 +12,7 @@ net::Packet TrafficGenerator::make_packet(net::PortId src, net::PortId dst, std:
   p.src = src;
   p.dst = dst;
   p.size_bytes = bytes;
+  p.generator = tag_;
   p.created_at = now;
   // Synthesise a plausible 5-tuple so classification has something to chew
   // on: address = 10.0.0.0/16 + port index.

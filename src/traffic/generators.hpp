@@ -38,6 +38,11 @@ class TrafficGenerator {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] const GeneratorStats& stats() const noexcept { return stats_; }
 
+  /// Tag stamped on every packet (net::Packet::generator); the framework
+  /// numbers its generators in the order they are added.
+  void set_tag(std::uint32_t tag) noexcept { tag_ = tag; }
+  [[nodiscard]] std::uint32_t tag() const noexcept { return tag_; }
+
  protected:
   net::Packet make_packet(net::PortId src, net::PortId dst, std::int64_t bytes, sim::Time now);
 
@@ -45,6 +50,7 @@ class TrafficGenerator {
 
  private:
   std::uint64_t next_packet_id_{1};
+  std::uint32_t tag_{0};
 };
 
 /// Poisson packet arrivals at a target load (fraction of `line_rate`),

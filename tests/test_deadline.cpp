@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,9 +26,12 @@
 #include "schedulers/greedy.hpp"
 #include "schedulers/srpt.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sim/units.hpp"
 #include "traffic/deadline.hpp"
+#include "traffic/generators.hpp"
+#include "traffic/patterns.hpp"
 
 namespace xdrs {
 namespace {
@@ -176,6 +181,67 @@ TEST(FlowCompletionTracker, WarmupStraddlingFlowsAreExcluded) {
   EXPECT_EQ(r.deadline_flows_met, 1u);
   EXPECT_EQ(r.deadline_flows_missed, 0u);
   EXPECT_EQ(r.goodput_before_deadline_bytes, 1000);
+}
+
+TEST(FlowCompletionTracker, SameFlowIdFromTwoGeneratorsIsTwoFlows) {
+  core::FlowCompletionTracker t;
+  // Both generators on port 0 number their first flow 1; only the tag
+  // tells them apart.  Each completes on its own bytes and deadline.
+  net::Packet a = packet(0, 1, 1000, 10_us, 50_us, 1000);
+  net::Packet b = packet(0, 1, 500, 20_us, 30_us, 2000);
+  b.generator = 1;
+  t.on_deliver(a, 40_us);
+  t.on_deliver(b, 45_us);
+  b.created_at = 25_us;
+  t.on_deliver(b, 60_us);
+  b.size_bytes = 1000;
+  t.on_deliver(b, 70_us);
+  EXPECT_EQ(t.tracked_flows(), 2u);
+  core::RunReport r;
+  t.finalize(Time::zero(), Time::milliseconds(1), r);
+  EXPECT_EQ(r.fct_deadline.count(), 2u);
+  EXPECT_EQ(r.deadline_flows_met, 1u);     // a: done at 40us, due 50us
+  EXPECT_EQ(r.deadline_flows_missed, 1u);  // b: done at 70us, due 30us
+  EXPECT_EQ(r.fct_deadline.min(), (30_us).ps());
+  EXPECT_EQ(r.fct_deadline.max(), (50_us).ps());
+}
+
+TEST(FlowCompletionTracker, TwoFlowGeneratorsOnOnePortCountEachCompletedFlowOnce) {
+  // Two flow generators on one host number their flows alike.  Deliver
+  // every packet at its emission and count, per generator, the flows whose
+  // bytes all arrived: the tracker must report exactly that many.
+  sim::Simulator sim;
+  core::FlowCompletionTracker t;
+  const Time horizon = Time::milliseconds(2);
+  std::vector<std::unique_ptr<traffic::FlowGenerator>> gens;
+  std::map<std::pair<std::uint32_t, net::FlowId>, std::pair<std::int64_t, std::int64_t>> bytes;
+  for (std::uint32_t g = 0; g < 2; ++g) {
+    traffic::FlowGenerator::Config cfg;
+    cfg.src = 0;
+    cfg.line_rate = sim::DataRate::gbps(10);
+    cfg.load = 0.3;
+    cfg.mice_mean_bytes = 6'000;
+    cfg.elephant_fraction = 0.0;
+    cfg.dest = std::make_shared<traffic::UniformChooser>(8);
+    cfg.seed = 11 + g;
+    gens.push_back(std::make_unique<traffic::FlowGenerator>(cfg));
+    gens.back()->set_tag(g);
+    gens.back()->start(sim, [&](const net::Packet& p) {
+      auto& [got, want] = bytes[{p.generator, p.flow}];
+      got += p.size_bytes;
+      want = p.flow_bytes;
+      t.on_deliver(p, sim.now());
+    }, horizon);
+  }
+  sim.run_until(horizon);
+  std::uint64_t complete = 0;
+  for (const auto& [key, b] : bytes) complete += b.first >= b.second ? 1 : 0;
+  ASSERT_GT(gens[0]->flows_started(), 5u);
+  ASSERT_GT(gens[1]->flows_started(), 5u);
+  EXPECT_EQ(t.tracked_flows(), bytes.size());
+  core::RunReport r;
+  t.finalize(Time::zero(), horizon, r);
+  EXPECT_EQ(r.fct_other.count(), complete);
 }
 
 // ---- SrptWeightedMatcher ---------------------------------------------------

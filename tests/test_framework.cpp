@@ -6,6 +6,8 @@
 
 #include "core/framework.hpp"
 #include "topo/testbed.hpp"
+#include "traffic/generators.hpp"
+#include "traffic/patterns.hpp"
 
 namespace xdrs::core {
 namespace {
@@ -269,6 +271,36 @@ TEST(Framework, DeterministicAcrossRuns) {
   EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
   EXPECT_EQ(a.ocs_bytes, b.ocs_bytes);
   EXPECT_EQ(a.latency.quantile(0.99), b.latency.quantile(0.99));
+}
+
+TEST(Framework, TwoFlowGeneratorsOnOnePortCompleteTheirFlowsApart) {
+  // Two generators on port 0 with one seed emit the same flow ids and
+  // sizes.  Tagged apart, every completed flow counts once per generator,
+  // so the pair completes about twice the flows one generator does; keyed
+  // on (port, flow id) alone, each twin pair would merge into one flow.
+  const auto completions = [](std::uint32_t generators) {
+    HybridSwitchFramework fw{fast_hybrid(8)};
+    fw.use_default_policies();
+    for (std::uint32_t g = 0; g < generators; ++g) {
+      traffic::FlowGenerator::Config cfg;
+      cfg.src = 0;
+      cfg.line_rate = fw.config().link_rate;
+      cfg.load = 0.05;
+      cfg.mice_mean_bytes = 6'000;
+      cfg.elephant_fraction = 0.0;
+      cfg.dest = std::make_shared<traffic::UniformChooser>(8);
+      cfg.seed = 5;
+      auto gen = std::make_unique<traffic::FlowGenerator>(cfg);
+      traffic::FlowGenerator* raw = gen.get();
+      fw.add_generator(std::move(gen));
+      EXPECT_EQ(raw->tag(), g);
+    }
+    const RunReport r = fw.run(4_ms);
+    return r.fct_other.count() + r.fct_deadline.count();
+  };
+  const std::uint64_t one = completions(1);
+  ASSERT_GT(one, 10u);
+  EXPECT_GE(completions(2), 2 * one - one / 10);
 }
 
 TEST(Framework, DirectInjectionWorks) {
