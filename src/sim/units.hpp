@@ -1,8 +1,8 @@
 // Link-rate and data-size quantities used throughout the framework.
 //
 // Rates are stored as bits per second and sizes as bytes; conversions to
-// transmission times are exact in 128-bit intermediate arithmetic so that
-// long simulations do not drift.
+// transmission times are exact (64-bit arithmetic for packet sizes, 128-bit
+// intermediates otherwise) so that long simulations do not drift.
 #ifndef XDRS_SIM_UNITS_HPP
 #define XDRS_SIM_UNITS_HPP
 
@@ -35,15 +35,26 @@ class DataRate {
   friend constexpr DataRate operator*(DataRate a, std::int64_t k) noexcept { return DataRate{a.bps_ * k}; }
   friend constexpr DataRate operator/(DataRate a, std::int64_t k) noexcept { return DataRate{a.bps_ / k}; }
 
-  /// Time to serialise `bytes` at this rate.  Exact (rounded up to the next
-  /// picosecond) via 128-bit intermediates; returns Time::max() for a zero
-  /// rate, which callers treat as "never".
+  /// Time to serialise `bytes` at this rate, rounded up to the next
+  /// picosecond; Time::max() for a zero rate, which callers treat as
+  /// "never".  Exact: packet-sized counts (0 to kExactBytes64) divide in
+  /// 64 bits, where bytes * 8e12 cannot overflow; any other count divides
+  /// its 128-bit product.
   [[nodiscard]] constexpr Time transmission_time(std::int64_t bytes) const noexcept {
     if (bps_ <= 0) return Time::max();
+    if (bytes >= 0 && bytes <= kExactBytes64) {
+      const std::uint64_t fs = static_cast<std::uint64_t>(bytes) * 8'000'000'000'000ULL;
+      const auto bps = static_cast<std::uint64_t>(bps_);
+      return Time::picoseconds(static_cast<std::int64_t>(fs / bps + (fs % bps != 0 ? 1 : 0)));
+    }
     const auto bits = static_cast<__int128>(bytes) * 8;
     const __int128 ps = (bits * 1'000'000'000'000LL + bps_ - 1) / bps_;
     return Time::picoseconds(static_cast<std::int64_t>(ps));
   }
+
+  /// Largest byte count transmission_time divides in 64 bits: 2 MiB, whose
+  /// 8e12-fold product (1.68e19) still fits in std::uint64_t.
+  static constexpr std::int64_t kExactBytes64 = std::int64_t{1} << 21;
 
   /// Bytes that can be carried in `t` at this rate (rounded down).
   [[nodiscard]] constexpr std::int64_t bytes_in(Time t) const noexcept {

@@ -2,6 +2,10 @@
 // other result rests on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <random>
+
 #include "sim/time.hpp"
 #include "sim/units.hpp"
 
@@ -103,6 +107,51 @@ TEST(DataRate, TransmissionTimeRoundsUp) {
 
 TEST(DataRate, ZeroRateNeverCompletes) {
   EXPECT_EQ(DataRate{}.transmission_time(100), Time::max());
+}
+
+/// The 128-bit formula transmission_time used for every count before its
+/// 64-bit path, as the reference the fast path must reproduce.
+std::int64_t reference_transmission_ps(std::int64_t bps, std::int64_t bytes) {
+  if (bps <= 0) return Time::max().ps();
+  const auto bits = static_cast<__int128>(bytes) * 8;
+  return static_cast<std::int64_t>((bits * 1'000'000'000'000LL + bps - 1) / bps);
+}
+
+TEST(DataRate, TransmissionTimeMatchesTheWideFormulaOnEitherPath) {
+  constexpr std::int64_t kBound = DataRate::kExactBytes64;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t rates[] = {1, 3, 7, 999'999'937, 10'000'000'000LL, 400'000'000'000LL,
+                                kMax / 3, kMax - 1, kMax};
+  const std::int64_t sizes[] = {0, 1, 64, 1500 + 24, kBound - 1, kBound, kBound + 1,
+                                -1, -1500, kMax / 8, std::numeric_limits<std::int64_t>::min() / 16};
+  for (const std::int64_t bps : rates) {
+    for (const std::int64_t bytes : sizes) {
+      EXPECT_EQ(DataRate::bps(bps).transmission_time(bytes).ps(),
+                reference_transmission_ps(bps, bytes))
+          << bps << " bps, " << bytes << " B";
+    }
+  }
+  for (const std::int64_t bytes : sizes) {
+    EXPECT_EQ(DataRate{}.transmission_time(bytes), Time::max());
+    EXPECT_EQ(DataRate::bps(-5).transmission_time(bytes), Time::max());
+  }
+
+  std::mt19937_64 rng{20240601};
+  for (int i = 0; i < 200'000; ++i) {
+    // Rates log-uniform over 1 bps .. 2^63; sizes mostly inside the 64-bit
+    // range, some just past it, some far past it or negative.
+    const std::int64_t bps = static_cast<std::int64_t>(rng() >> (1 + rng() % 63)) | 1;
+    std::int64_t bytes = 0;
+    switch (rng() % 4) {
+      case 0: bytes = static_cast<std::int64_t>(rng() % 9'001); break;
+      case 1: bytes = static_cast<std::int64_t>(rng() % (kBound + 1)); break;
+      case 2: bytes = kBound + 1 + static_cast<std::int64_t>(rng() % (kBound * 64)); break;
+      default: bytes = static_cast<std::int64_t>(rng()) >> (4 + rng() % 60); break;
+    }
+    ASSERT_EQ(DataRate::bps(bps).transmission_time(bytes).ps(),
+              reference_transmission_ps(bps, bytes))
+        << bps << " bps, " << bytes << " B";
+  }
 }
 
 TEST(DataRate, BytesInWindow) {
