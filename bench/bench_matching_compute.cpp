@@ -245,26 +245,39 @@ bool voq_alloc_check() {
 /// and strict priority, and an OCS whose circuits are up, both fed one
 /// packet per maximum-size serialisation (each OCS input sends one when its
 /// wire is free), so that about eight packets propagate on each at once.
+/// The OCS defers its deliveries as a framework's does: outputs 6 and 7
+/// stand for uplinks and latency-sensitive packets keep their events, the
+/// rest settle on later sends, on evented deliveries and on a settle_to_now
+/// every 64 packets, as the timeline sampler would.
 class LinkChurn {
  public:
   LinkChurn() : queue_{link_config()}, ocs_{sim_, ocs_config()} {
     queue_.attach(sim_, [this](const net::Packet& p) { bytes_ += p.size_bytes; });
-    ocs_.set_deliver_callback([this](const net::Packet& p, net::PortId) { bytes_ += p.size_bytes; });
+    ocs_.set_deliver_callback([this](const net::Packet& p, sim::Time at) {
+      bytes_ += p.size_bytes;
+      if (at < sim_.now()) ++settled_late_;
+    });
+    ocs_.defer_deliveries(kInputs - 2);
     ocs_.reconfigure(schedulers::Matching::rotation(kInputs, 1));
     sim_.run();  // the first dark period
   }
 
-  /// Emits `packets` more packets and runs until every one has arrived.
+  /// Emits `packets` more packets, runs until every one has arrived and
+  /// settles the deferred rest.
   void run(std::uint64_t packets) {
     budget_ = packets;
     arm();
     sim_.run();
+    ocs_.settle_all(sim_.now());
   }
 
   [[nodiscard]] bool drained() const noexcept {
     return queue_.queue_bytes() == 0 && queue_.propagating_bytes() == 0 &&
            ocs_.in_flight_bytes() == 0;
   }
+
+  /// OCS deliveries handed over after their delivery time.
+  [[nodiscard]] std::uint64_t settled_late() const noexcept { return settled_late_; }
 
  private:
   static constexpr std::uint32_t kInputs = 8;
@@ -297,6 +310,7 @@ class LinkChurn {
       p.dst = (in + 1) % kInputs;
       (void)ocs_.send(in, p);
     }
+    if (packets_ % 64 == 0) ocs_.settle_to_now();
     if (--budget_ != 0) arm();
   }
 
@@ -307,25 +321,29 @@ class LinkChurn {
   std::uint64_t budget_{0};
   std::uint64_t packets_{0};
   std::int64_t bytes_{0};
+  std::uint64_t settled_late_{0};
 };
 
 /// The link half of `--alloc-check`: once the DrainQueue's lanes and
 /// propagating FIFO and the OCS's in-flight FIFOs have reached their steady
-/// depth, offering, sending and delivering must not allocate.
+/// depth, offering, sending, delivering and settling must not allocate.
 bool link_alloc_check() {
   constexpr std::uint64_t kWarmupPackets = 10'000;
   constexpr std::uint64_t kMeasuredPackets = 200'000;
 
   LinkChurn churn;
   churn.run(kWarmupPackets);
+  const std::uint64_t settled_before = churn.settled_late();
   const std::uint64_t before = bench::heap_allocs();
   churn.run(kMeasuredPackets);
   const std::uint64_t allocs = bench::heap_allocs() - before;
+  const std::uint64_t settled = churn.settled_late() - settled_before;
 
-  const bool ok = allocs == 0 && churn.drained();
+  const bool ok = allocs == 0 && churn.drained() && settled > 0;
   std::printf("steady-state heap allocations of the packet links (%llu packets each, "
-              "10 us propagation):\n  %-31s %8llu %s\n",
+              "10 us propagation; %llu OCS deliveries settled late):\n  %-31s %8llu %s\n",
               static_cast<unsigned long long>(kMeasuredPackets),
+              static_cast<unsigned long long>(settled),
               "DrainQueue + OCS in flight", static_cast<unsigned long long>(allocs),
               ok ? "OK" : "FAIL");
   return ok;
@@ -375,7 +393,8 @@ bool planner_alloc_check(std::uint32_t ports) {
 /// loop, then count heap allocations over a steady-state window; then do the
 /// same for the allocation-free circuit planners (planner_alloc_check), the
 /// event engine (engine_alloc_check), the VOQ bank (voq_alloc_check) and the
-/// packet FIFOs of a DrainQueue and the OCS (link_alloc_check).
+/// packet FIFOs of a DrainQueue and the OCS, deferred deliveries and their
+/// settles included (link_alloc_check).
 /// Any allocation is a regression of the allocation-free hot-path contract.
 /// Run at 48, 64 AND 128 ports: 48 is the 2-rack fat-tree ToR shape (32
 /// host ports + 16 uplinks at 2:1 oversubscription) — a non-power-of-two

@@ -4,16 +4,19 @@
 
 namespace xdrs::core {
 
-void FlowCompletionTracker::on_deliver(const net::Packet& p, sim::Time now) {
+void FlowCompletionTracker::on_deliver(const net::Packet& p, sim::Time at) {
   if (p.flow_bytes <= 0) return;
   FlowState& st = flows_[net::FlowKey::of(p)];
   st.first_created = std::min(st.first_created, p.created_at);
   st.deadline = p.deadline;
   st.flow_bytes = p.flow_bytes;
   st.delivered += p.size_bytes;
+  st.last_delivered = std::max(st.last_delivered, at);
   st.crossed_core = st.crossed_core || p.remote;
-  if (!p.deadline.is_zero() && now <= p.deadline) st.bytes_before_deadline += p.size_bytes;
-  if (st.completed_at.is_zero() && st.delivered >= st.flow_bytes) st.completed_at = now;
+  if (!p.deadline.is_zero() && at <= p.deadline) st.bytes_before_deadline += p.size_bytes;
+  if (st.completed_at.is_zero() && st.delivered >= st.flow_bytes) {
+    st.completed_at = st.last_delivered;
+  }
 }
 
 void FlowCompletionTracker::finalize(sim::Time measure_start, sim::Time end,

@@ -38,9 +38,11 @@ namespace xdrs::core {
 
 class FlowCompletionTracker {
  public:
-  /// Folds one delivered packet in.  Packets without a stamped flow size
+  /// Folds in one packet delivered at `at`.  Deliveries may arrive out of
+  /// time order (the OCS settles some late), so a flow completes at the
+  /// latest delivery time it has seen.  Packets without a stamped flow size
   /// (flow_bytes <= 0: packet-level sources like Poisson/CBR) are ignored.
-  void on_deliver(const net::Packet& p, sim::Time now);
+  void on_deliver(const net::Packet& p, sim::Time at);
 
   /// Writes the deadline metrics of flows whose first packet was created in
   /// [measure_start, end) into `report`.  `end` is the run horizon used for
@@ -74,6 +76,7 @@ class FlowCompletionTracker {
     sim::Time first_created{sim::Time::max()};  ///< earliest packet creation seen
     sim::Time deadline{};                       ///< absolute; zero = none
     sim::Time completed_at{};                   ///< zero until complete
+    sim::Time last_delivered{};                 ///< latest delivery time seen
     std::int64_t flow_bytes{0};
     std::int64_t delivered{0};
     std::int64_t bytes_before_deadline{0};

@@ -60,12 +60,13 @@ void HybridSwitchFramework::wire() {
   scheduling_.set_grant_callback(
       [this](const control::GrantSet& gs) { processing_.handle_grants(gs); });
 
-  // Fabric deliveries -> measurement.
-  ocs_.set_deliver_callback([this](const net::Packet& p, net::PortId) {
-    on_deliver(p, control::FabricPath::kOcs);
+  // Fabric deliveries -> measurement.  The OCS hands over settled
+  // deliveries late, each with its own time (see start_run).
+  ocs_.set_deliver_callback([this](const net::Packet& p, sim::Time at) {
+    on_deliver(p, control::FabricPath::kOcs, at);
   });
   eps_.set_deliver_callback([this](const net::Packet& p, net::PortId) {
-    on_deliver(p, control::FabricPath::kEps);
+    on_deliver(p, control::FabricPath::kEps, sim_.now());
   });
 }
 
@@ -94,7 +95,8 @@ void HybridSwitchFramework::attach_stage_timers(obs::Registry* registry) {
   switching_.set_stage_timers(registry);
 }
 
-obs::TimelineSnapshot HybridSwitchFramework::timeline_snapshot(sim::Time urgent_horizon) const {
+obs::TimelineSnapshot HybridSwitchFramework::timeline_snapshot(sim::Time urgent_horizon) {
+  ocs_.settle_to_now();
   obs::TimelineSnapshot s;
   s.voq_total_bytes = processing_.voqs().total_bytes();
   s.voq_max_bytes = processing_.voqs().max_voq_bytes();
@@ -136,7 +138,8 @@ void HybridSwitchFramework::reinject(const net::Packet& p) {
   processing_.ingest(p);
 }
 
-void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath via) {
+void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath via,
+                                       sim::Time at) {
   // A delivery at an uplink port is a transit hop, not an arrival: hand it
   // to the core tier before any completion/measurement accounting — the
   // destination rack records the final delivery.
@@ -147,7 +150,7 @@ void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath
   // The completion tracker sees every delivery, warmup included, so flows
   // straddling the measurement boundary are recognised and then excluded at
   // finalize (their early packets were never measured).
-  completion_.on_deliver(p, sim_.now());
+  completion_.on_deliver(p, at);
   if (!measuring_) return;
   report_.serviced_bytes += p.size_bytes;
   // Only packets born inside the measurement window count further, so
@@ -162,13 +165,13 @@ void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath
   }
   report_.class_bytes[static_cast<std::size_t>(p.tclass)] += p.size_bytes;
   (p.remote ? report_.cross_rack_bytes : report_.intra_rack_bytes) += p.size_bytes;
-  const sim::Time latency = sim_.now() - p.created_at;
+  const sim::Time latency = at - p.created_at;
   report_.latency.record_time(latency);
   if (p.tclass == net::TrafficClass::kLatencySensitive) {
     report_.latency_sensitive.record_time(latency);
-    flow_jitter_[net::FlowKey::of(p)].record(p.created_at, sim_.now());
+    flow_jitter_[net::FlowKey::of(p)].record(p.created_at, at);
   }
-  trace_.record(sim_.now(), sim::TraceCategory::kDeliver, p.src, p.dst);
+  trace_.record(at, sim::TraceCategory::kDeliver, p.src, p.dst);
 }
 
 void HybridSwitchFramework::start_run(sim::Time duration, sim::Time warmup) {
@@ -181,6 +184,9 @@ void HybridSwitchFramework::start_run(sim::Time duration, sim::Time warmup) {
   measure_start_ = warmup;
   horizon_ = warmup + duration;
 
+  // Host-bound OCS deliveries only feed this report, so the OCS settles
+  // them without an event; uplink-bound ones reach the core on time.
+  ocs_.defer_deliveries(uplink_hook_ ? first_uplink_ : cfg_.ports, &trace_);
   scheduling_.start();
   for (auto& e : generators_) {
     if (e.transform) {
@@ -204,6 +210,7 @@ void HybridSwitchFramework::begin_measurement() {
   if (!ran_) throw std::logic_error{"Framework: begin_measurement() before start_run()"};
   if (measurement_begun_) throw std::logic_error{"Framework: begin_measurement() is one-shot"};
   measurement_begun_ = true;
+  ocs_.settle_to_now();  // warm-up deliveries stay out of the window
 
   // Measurement window begins: reset high-water marks and snapshot the
   // monotonic counters so the report shows deltas.
@@ -224,6 +231,7 @@ void HybridSwitchFramework::begin_measurement() {
 
 RunReport HybridSwitchFramework::finalize_run() {
   if (!measurement_begun_) throw std::logic_error{"Framework: finalize_run() before measurement"};
+  ocs_.settle_all(horizon_);
   measuring_ = false;
 
   report_.duration = duration_;

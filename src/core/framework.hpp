@@ -131,8 +131,11 @@ class HybridSwitchFramework {
 
   // ---- telemetry (driven by topo::FatTree, which owns the bundle) ----------
   /// One timeline-sampler tick's worth of switch state; urgent backlog
-  /// looks `urgent_horizon` ahead.  Read-only.
-  [[nodiscard]] obs::TimelineSnapshot timeline_snapshot(sim::Time urgent_horizon) const;
+  /// looks `urgent_horizon` ahead.  Settles the OCS's deferred deliveries
+  /// to now first (OpticalCircuitSwitch::settle_to_now), so the state is
+  /// what it would be had each delivery run as its own event; otherwise
+  /// read-only.
+  [[nodiscard]] obs::TimelineSnapshot timeline_snapshot(sim::Time urgent_horizon);
 
   /// Attaches the scheduling/switching stage timers to `registry`.
   void attach_stage_timers(obs::Registry* registry);
@@ -153,7 +156,9 @@ class HybridSwitchFramework {
                         sim::Simulator* shared);
 
   void wire();
-  void on_deliver(const net::Packet& p, control::FabricPath via);
+  /// A fabric delivery at time `at` (now, or earlier for an OCS delivery
+  /// settled late).
+  void on_deliver(const net::Packet& p, control::FabricPath via, sim::Time at);
 
   FrameworkConfig cfg_;
   /// Owned in single-switch mode, null when sharing a topology simulator;

@@ -16,9 +16,26 @@ bool Simulator::step(Time horizon) {
   });
 }
 
+namespace {
+
+/// Marks the simulator as inside a run until the loop returns or unwinds.
+struct RunningScope {
+  bool& running;
+  const bool outer;
+  explicit RunningScope(bool& r) : running{r}, outer{r} { running = true; }
+  RunningScope(const RunningScope&) = delete;
+  RunningScope& operator=(const RunningScope&) = delete;
+  ~RunningScope() { running = outer; }
+};
+
+}  // namespace
+
 void Simulator::run_until(Time horizon) {
   stopping_ = false;
-  while (step(horizon)) {
+  {
+    const RunningScope scope{running_};
+    while (step(horizon)) {
+    }
   }
   // Advance the clock to the horizon even if the queue drained early, so a
   // subsequent run_until continues from a consistent epoch.
@@ -27,6 +44,7 @@ void Simulator::run_until(Time horizon) {
 
 void Simulator::run() {
   stopping_ = false;
+  const RunningScope scope{running_};
   while (step(Time::max())) {
   }
 }

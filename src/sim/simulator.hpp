@@ -83,6 +83,18 @@ class Simulator {
   /// Requests that the run loop stop after the current event returns.
   void stop() noexcept { stopping_ = true; }
 
+  /// Events at one time fire in the order they were scheduled: the k-th
+  /// schedule call gets order k.  A component that keeps a would-be event
+  /// out of the queue records next_order() instead, and compares it with
+  /// running_order() to learn whether that event would already have fired.
+  [[nodiscard]] std::uint64_t next_order() const noexcept { return queue_.total_pushed() + 1; }
+
+  /// Order of the event whose callback is running; outside run() and
+  /// run_until(), every event at or before now() has fired, so the maximum.
+  [[nodiscard]] std::uint64_t running_order() const noexcept {
+    return running_ ? queue_.fired_seq() : ~std::uint64_t{0};
+  }
+
   [[nodiscard]] const SimulatorStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 
@@ -94,6 +106,7 @@ class Simulator {
   EventQueue queue_;
   Time now_{Time::zero()};
   bool stopping_{false};
+  bool running_{false};  ///< inside run() or run_until()
   SimulatorStats stats_;
 };
 

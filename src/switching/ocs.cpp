@@ -5,6 +5,13 @@
 
 namespace xdrs::switching {
 
+namespace {
+
+/// Settles every send due at a settle point's time, whatever its order.
+constexpr std::uint64_t kAnyOrder = ~std::uint64_t{0};
+
+}  // namespace
+
 OpticalCircuitSwitch::OpticalCircuitSwitch(sim::Simulator& sim, OcsConfig cfg)
     : sim_{sim},
       cfg_{cfg},
@@ -28,11 +35,13 @@ void OpticalCircuitSwitch::reconfigure(const schedulers::Matching& next) {
   }
 
   // Cut every packet still on the fabric: light stops propagating the
-  // instant mirrors start moving.
+  // instant mirrors start moving.  Deferred sends that have arrived settle
+  // first.
   for (std::uint32_t in = 0; in < cfg_.ports; ++in) {
+    settle(in, sim_.now(), kAnyOrder);
     util::Fifo<InFlight>& fifo = in_flight_[in];
     while (!fifo.empty() && fifo.back().delivers > sim_.now()) {
-      sim_.cancel(fifo.back().event);
+      if (fifo.back().event.valid()) sim_.cancel(fifo.back().event);
       in_flight_bytes_ -= fifo.back().packet.size_bytes;
       fifo.pop_back();
       ++stats_.packets_cut_by_reconfig;
@@ -81,18 +90,56 @@ std::optional<sim::Time> OpticalCircuitSwitch::send(net::PortId in, const net::P
   stats_.busy_time_total += tx;
 
   const sim::Time deliver_at = done + cfg_.fabric_latency;
-  InFlight& f = in_flight_[in].push(sim::EventId{}, deliver_at, p);
-  f.event = sim_.schedule_at(deliver_at, [this, in] { deliver(in); });
+  settle(in, sim_.now(), kAnyOrder);
+  const bool evented = p.dst >= first_evented_ ||
+                       p.tclass == net::TrafficClass::kLatencySensitive ||
+                       (trace_ != nullptr && trace_->enabled());
+  if (evented) {
+    InFlight& f = in_flight_[in].push(sim::EventId{}, deliver_at, std::uint64_t{0}, p);
+    f.event = sim_.schedule_at(deliver_at, [this, in] { deliver(in); });
+  } else {
+    in_flight_[in].push(sim::EventId{}, deliver_at, sim_.next_order(), p);
+  }
   in_flight_bytes_ += p.size_bytes;
   return deliver_at;
 }
 
 void OpticalCircuitSwitch::deliver(net::PortId in) {
-  const InFlight& f = in_flight_[in].pop_front();
+  util::Fifo<InFlight>& fifo = in_flight_[in];
+  // Deferred sends ahead of this one are due no later than it.
+  while (!fifo.front().event.valid()) hand_over(fifo.pop_front());
+  hand_over(fifo.pop_front());
+}
+
+void OpticalCircuitSwitch::settle(net::PortId in, sim::Time t, std::uint64_t order) {
+  util::Fifo<InFlight>& fifo = in_flight_[in];
+  while (!fifo.empty()) {
+    const InFlight& f = fifo.front();
+    if (f.event.valid() || f.delivers > t || (f.delivers == t && f.order > order)) return;
+    hand_over(fifo.pop_front());
+  }
+}
+
+void OpticalCircuitSwitch::hand_over(const InFlight& f) {
   in_flight_bytes_ -= f.packet.size_bytes;
   ++stats_.packets_delivered;
   stats_.bytes_delivered += f.packet.size_bytes;
-  if (deliver_cb_) deliver_cb_(f.packet, f.packet.dst);
+  if (deliver_cb_) deliver_cb_(f.packet, f.delivers);
+}
+
+void OpticalCircuitSwitch::defer_deliveries(net::PortId first_evented,
+                                            const sim::TraceRecorder* trace) {
+  first_evented_ = first_evented;
+  trace_ = trace;
+}
+
+void OpticalCircuitSwitch::settle_all(sim::Time t) {
+  for (net::PortId in = 0; in < cfg_.ports; ++in) settle(in, t, kAnyOrder);
+}
+
+void OpticalCircuitSwitch::settle_to_now() {
+  const std::uint64_t order = sim_.running_order();
+  for (net::PortId in = 0; in < cfg_.ports; ++in) settle(in, sim_.now(), order);
 }
 
 sim::Time OpticalCircuitSwitch::port_free_at(net::PortId in) const {

@@ -9,10 +9,23 @@
 // falls are lost (counted separately as reconfiguration cuts).
 //
 // The switch owns every packet on its fabric: each input keeps a FIFO of
-// its sends, oldest first.  An input's deliveries land in send order, so a
-// delivery event carries only `this` and the input and takes the FIFO's
-// front, while a retune cuts from the back every send whose delivery is
-// still ahead.
+// its sends, oldest first, and an input's deliveries land in send order.
+// A retune cuts from the back every send whose delivery is still ahead.
+//
+// Most deliveries need no event.  Once defer_deliveries() is on, a send to
+// a host port (below the first uplink) stays in its FIFO with its delivery
+// time and is *settled* later: handed to the deliver callback with that
+// time, at the first settle point that reaches it: the same input's next
+// send or evented delivery, a retune, settle_all() or settle_to_now().  Only
+// a delivery whose effects are bookkeeping alone may wait like this.  Three
+// kinds of send keep their event, which carries only `this` and the input
+// and settles the FIFO up to its own send:
+//   * sends to an uplink, since fat-tree transit must reach the core at the
+//     real time;
+//   * latency-sensitive packets, since RFC 3550 jitter depends on the order
+//     of deliveries;
+//   * every send while the trace recorder is on, so a trace stays in time
+//     order.
 #ifndef XDRS_SWITCHING_OCS_HPP
 #define XDRS_SWITCHING_OCS_HPP
 
@@ -25,6 +38,7 @@
 #include "schedulers/matching.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 #include "sim/units.hpp"
 #include "util/fifo.hpp"
 
@@ -53,10 +67,11 @@ struct OcsStats {
 
 class OpticalCircuitSwitch {
  public:
-  /// Receives each packet at its egress port.  The packet is the switch's
-  /// own and is readable for the call; the callback must not send on the
-  /// input that delivered it.
-  using DeliverCallback = std::function<void(const net::Packet&, net::PortId out)>;
+  /// Receives each packet at its egress port (its `dst`) with its delivery
+  /// time: at that time for an evented delivery, at the settle point for a
+  /// settled one.  The packet is the switch's own and is readable for the
+  /// call; the callback must neither send nor retune.
+  using DeliverCallback = std::function<void(const net::Packet&, sim::Time at)>;
   using ConfiguredCallback = std::function<void(const schedulers::Matching&)>;
 
   OpticalCircuitSwitch(sim::Simulator& sim, OcsConfig cfg);
@@ -90,7 +105,26 @@ class OpticalCircuitSwitch {
   /// Earliest time input `in` can begin serialising a new packet.
   [[nodiscard]] sim::Time port_free_at(net::PortId in) const;
 
-  /// Bytes sent on any input and not yet delivered or cut.
+  /// From now on, settles every send to an output below `first_evented`
+  /// without an event, unless the packet is latency-sensitive or `trace`
+  /// (if given) is enabled at the send.  `first_evented` = 0, the default,
+  /// gives every send its event.
+  void defer_deliveries(net::PortId first_evented, const sim::TraceRecorder* trace = nullptr);
+
+  /// Settles every send due at or before `t`, each input's in send order,
+  /// with its own delivery time.  An input stops at its oldest send that
+  /// still waits for its event.
+  void settle_all(sim::Time t);
+
+  /// Settles every send whose event would already have fired by now: due
+  /// before now(), or due at now() and sent before the running event was
+  /// scheduled (Simulator::running_order()).  Outside a run, settle_all(now).
+  void settle_to_now();
+
+  /// Bytes sent on any input and neither delivered nor cut.  Settled sends
+  /// count as delivered, so after settle_to_now() this is exactly the bytes
+  /// still on the fabric; before it, it also holds deferred sends already
+  /// due.
   [[nodiscard]] std::int64_t in_flight_bytes() const noexcept { return in_flight_bytes_; }
 
   [[nodiscard]] const OcsStats& stats() const noexcept { return stats_; }
@@ -98,15 +132,22 @@ class OpticalCircuitSwitch {
 
  private:
   struct InFlight {
-    sim::EventId event{};
+    sim::EventId event{};   ///< invalid for a deferred send
     sim::Time delivers{};
+    std::uint64_t order{};  ///< a deferred send's would-be event order
     net::Packet packet;
   };
 
   /// Completes (or retries, under failure injection) a dark period.
   void finish_dark_period();
-  /// The oldest send of input `in` reaches its egress port.
+  /// The delivery event of input `in`'s oldest evented send: settles the
+  /// deferred sends ahead of it, then delivers it.
   void deliver(net::PortId in);
+  /// Settles input `in`'s oldest deferred sends while each is due before
+  /// (t, order) or at it.
+  void settle(net::PortId in, sim::Time t, std::uint64_t order);
+  /// Hands the popped send `f` to the deliver callback.
+  void hand_over(const InFlight& f);
 
   sim::Simulator& sim_;
   OcsConfig cfg_;
@@ -119,6 +160,8 @@ class OpticalCircuitSwitch {
   /// idle input's FIFO allocates nothing.
   std::vector<util::Fifo<InFlight>> in_flight_;
   std::int64_t in_flight_bytes_{0};
+  net::PortId first_evented_{0};              ///< sends below it may defer
+  const sim::TraceRecorder* trace_{nullptr};  ///< on = every send evented
   sim::Rng failure_rng_;
   DeliverCallback deliver_cb_;
   ConfiguredCallback configured_cb_;

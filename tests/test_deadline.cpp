@@ -183,6 +183,20 @@ TEST(FlowCompletionTracker, WarmupStraddlingFlowsAreExcluded) {
   EXPECT_EQ(r.goodput_before_deadline_bytes, 1000);
 }
 
+TEST(FlowCompletionTracker, CompletesAtTheLatestDeliveryWhenDeliveriesArriveOutOfOrder) {
+  // The OCS may settle a delivery after a later one over the EPS: the
+  // flow completes when its last byte arrived, not when it was settled.
+  core::FlowCompletionTracker t;
+  t.on_deliver(packet(0, 1, 400, 10_us, 45_us, 1000), 50_us);  // EPS, last in time
+  t.on_deliver(packet(0, 1, 600, 10_us, 45_us, 1000), 30_us);  // OCS, settled late
+  core::RunReport r;
+  t.finalize(Time::zero(), Time::milliseconds(1), r);
+  ASSERT_EQ(r.fct_deadline.count(), 1u);
+  EXPECT_EQ(r.fct_deadline.max(), (40_us).ps());
+  EXPECT_EQ(r.deadline_flows_missed, 1u);             // done at 50us, due 45us
+  EXPECT_EQ(r.goodput_before_deadline_bytes, 600);    // only the OCS bytes were on time
+}
+
 TEST(FlowCompletionTracker, SameFlowIdFromTwoGeneratorsIsTwoFlows) {
   core::FlowCompletionTracker t;
   // Both generators on port 0 number their first flow 1; only the tag

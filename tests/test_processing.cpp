@@ -24,7 +24,7 @@ struct Rig {
     sync = std::make_unique<control::SyncModel>(cfg.ports, cfg.sync);
     proc = std::make_unique<ProcessingLogic>(sim, cfg, classifier, *ocs, *eps, *sync, trace);
     ocs->set_deliver_callback(
-        [this](const net::Packet& p, net::PortId) { ocs_delivered.push_back(p); });
+        [this](const net::Packet& p, Time) { ocs_delivered.push_back(p); });
     eps->set_deliver_callback(
         [this](const net::Packet& p, net::PortId) { eps_delivered.push_back(p); });
   }
@@ -349,7 +349,7 @@ Rig host_rig_with_circuit(Time max_skew = Time::zero()) {
 /// Records each OCS delivery's real start of transmission (delivery time
 /// less serialisation and fabric propagation) in `starts`.
 void record_ocs_starts(Rig& rig, std::vector<Time>& starts) {
-  rig.ocs->set_deliver_callback([&rig, &starts](const net::Packet& p, net::PortId) {
+  rig.ocs->set_deliver_callback([&rig, &starts](const net::Packet& p, Time) {
     const Time tx = rig.cfg.link_rate.transmission_time(p.size_bytes + sim::kWireOverheadBytes);
     starts.push_back(rig.sim.now() - rig.cfg.ocs_fabric_latency - tx);
     rig.ocs_delivered.push_back(p);
