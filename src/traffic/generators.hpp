@@ -41,7 +41,6 @@ class TrafficGenerator {
   /// Tag stamped on every packet (net::Packet::generator); the framework
   /// numbers its generators in the order they are added.
   void set_tag(std::uint32_t tag) noexcept { tag_ = tag; }
-  [[nodiscard]] std::uint32_t tag() const noexcept { return tag_; }
 
  protected:
   net::Packet make_packet(net::PortId src, net::PortId dst, std::int64_t bytes, sim::Time now);

@@ -290,10 +290,7 @@ TEST(Framework, TwoFlowGeneratorsOnOnePortCompleteTheirFlowsApart) {
       cfg.elephant_fraction = 0.0;
       cfg.dest = std::make_shared<traffic::UniformChooser>(8);
       cfg.seed = 5;
-      auto gen = std::make_unique<traffic::FlowGenerator>(cfg);
-      traffic::FlowGenerator* raw = gen.get();
-      fw.add_generator(std::move(gen));
-      EXPECT_EQ(raw->tag(), g);
+      fw.add_generator(std::make_unique<traffic::FlowGenerator>(cfg));
     }
     const RunReport r = fw.run(4_ms);
     return r.fct_other.count() + r.fct_deadline.count();
