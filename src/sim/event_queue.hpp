@@ -259,7 +259,7 @@ class EventQueue {
     const std::uint32_t i = head_until(horizon.ps());
     if (i == kNone) return false;
     const Time at = Time::picoseconds(node(i).at);
-    running_seq_ = node(i).word >> kLinkBits;
+    fired_seq_ = node(i).word >> kLinkBits;
     take_head(i);
     const Release release{*this, i};
     on_fire(at);
@@ -272,7 +272,7 @@ class EventQueue {
   [[nodiscard]] std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
   /// Seq of the event fire_next fired last (whose callback may be running).
-  [[nodiscard]] std::uint64_t fired_seq() const noexcept { return running_seq_; }
+  [[nodiscard]] std::uint64_t fired_seq() const noexcept { return fired_seq_; }
 
  private:
   /// Per slot: the event's time and one word, seq << kLinkBits | link.  A
@@ -430,7 +430,7 @@ class EventQueue {
   std::uint32_t free_head_{kNone};
   std::size_t live_{0};
   std::uint64_t next_seq_{1};
-  std::uint64_t running_seq_{0};
+  std::uint64_t fired_seq_{0};
 
   // Wheel state, from the first push on.  Bucket index b holds absolute
   // bucket cur_ + ((b - cur_) mod nb_); an absolute bucket spans times
