@@ -125,12 +125,12 @@ void HybridSwitchFramework::set_uplink_hook(net::PortId first_uplink, UplinkHook
   uplink_hook_ = std::move(hook);
 }
 
-void HybridSwitchFramework::inject(const net::Packet& p) {
+void HybridSwitchFramework::inject(const net::Packet& p, const IngressTransform* transform) {
   if (measuring_) {
     ++report_.offered_packets;
     report_.offered_bytes += p.size_bytes;
   }
-  processing_.ingest(p);
+  processing_.ingest(p, transform);
 }
 
 void HybridSwitchFramework::reinject(const net::Packet& p) {
@@ -190,16 +190,10 @@ void HybridSwitchFramework::start_run(sim::Time duration, sim::Time warmup) {
   scheduling_.start();
   for (auto& e : generators_) {
     if (e.transform) {
-      // Copy-rewrite-inject: the placement stage never mutates the
-      // generator's own packet (generators may reuse buffers).
+      // The placement stage rewrites the ingress hop's own copy, never the
+      // generator's packet (generators may reuse buffers).
       e.g->start(
-          sim_,
-          [this, t = e.transform](const net::Packet& p) {
-            net::Packet q = p;
-            t(q);
-            inject(q);
-          },
-          horizon_);
+          sim_, [this, t = e.transform](const net::Packet& p) { inject(p, &t); }, horizon_);
     } else {
       e.g->start(sim_, [this](const net::Packet& p) { inject(p); }, horizon_);
     }

@@ -79,7 +79,7 @@ class HybridSwitchFramework {
   /// fat-tree placement stage retargets a locality-chosen fraction of flows
   /// at the uplink ports here.  A pure function of the packet (no simulator
   /// state), so placement is deterministic by construction.
-  using IngressTransform = std::function<void(net::Packet&)>;
+  using IngressTransform = ProcessingLogic::Rewrite;
 
   /// Takes ownership; the generator starts when run() is called.  The
   /// optional transform rewrites this generator's packets at injection time
@@ -87,8 +87,9 @@ class HybridSwitchFramework {
   void add_generator(std::unique_ptr<traffic::TrafficGenerator> g,
                      IngressTransform transform = {});
 
-  /// Direct injection (integration tests / custom drivers).
-  void inject(const net::Packet& p);
+  /// Direct injection (integration tests / custom drivers).  A non-null
+  /// `transform` rewrites the switch's copy of the packet, not `p`.
+  void inject(const net::Packet& p, const IngressTransform* transform = nullptr);
 
   /// Transit injection for packets arriving from another tier (fat-tree
   /// core links): ingests without offered-traffic accounting — the packet

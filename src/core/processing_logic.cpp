@@ -20,7 +20,8 @@ ProcessingLogic::ProcessingLogic(sim::Simulator& sim, const FrameworkConfig& cfg
       sync_{sync},
       trace_{trace},
       voqs_{cfg.ports, cfg.ports, cfg.voq_limits},
-      inputs_(cfg.ports) {
+      inputs_(cfg.ports),
+      ingress_{sim, cfg.link_latency, [this](const net::Packet& p) { arrive_at_tor(p); }} {
   // Unbounded: the VOQ bank, not the wire, is where an input buffers.
   const queueing::DrainQueue::Config wire{
       cfg.eps_rate, 0,
@@ -50,21 +51,24 @@ sim::Time ProcessingLogic::host_offset(net::PortId input) const {
   return cfg_.placement == BufferPlacement::kHost ? sync_.offset_of(input) : Time::zero();
 }
 
-void ProcessingLogic::ingest(const net::Packet& p) {
+void ProcessingLogic::ingest(const net::Packet& p, const Rewrite* rewrite) {
   ++stats_.ingested_packets;
   stats_.ingested_bytes += p.size_bytes;
-  trace_.record(sim_.now(), TraceCategory::kPacketArrival, p.src, p.dst);
+  const auto arrive = [&](net::Packet& q) -> net::Packet& {
+    if (rewrite != nullptr) (*rewrite)(q);
+    trace_.record(sim_.now(), TraceCategory::kPacketArrival, q.src, q.dst);
+    return classify(q);
+  };
 
   if (cfg_.placement == BufferPlacement::kToRSwitch) {
     // Packets traverse the host uplink before reaching switch VOQs.
-    ingress_bytes_ += classify(ingress_.push(p)).size_bytes;
-    sim_.schedule(cfg_.link_latency, [this] { arrive_at_tor(); });
+    ingress_bytes_ += arrive(ingress_.push(p)).size_bytes;
   } else {
     // Host-buffered: ALL traffic waits in host queues for a grant — "packets
     // stored in the host can be passed to the switch only at appropriate
     // times, upon a grant from the scheduler" (§2).
     net::Packet pkt = p;
-    enqueue(classify(pkt));
+    enqueue(arrive(pkt));
   }
 }
 
@@ -76,10 +80,7 @@ net::Packet& ProcessingLogic::classify(net::Packet& p) {
   return p;
 }
 
-void ProcessingLogic::arrive_at_tor() {
-  // Every hop takes the same link latency, so packets arrive in the order
-  // they were ingested.
-  const net::Packet& p = ingress_.pop_front();
+void ProcessingLogic::arrive_at_tor(const net::Packet& p) {
   ingress_bytes_ -= p.size_bytes;
   if (p.tclass == net::TrafficClass::kLatencySensitive) {
     // Mice / interactive traffic never waits for circuits: straight to the

@@ -29,11 +29,11 @@
 #include "net/packet.hpp"
 #include "queueing/drain_queue.hpp"
 #include "queueing/voq.hpp"
+#include "sim/delay_line.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "switching/eps.hpp"
 #include "switching/ocs.hpp"
-#include "util/fifo.hpp"
 
 namespace xdrs::core {
 
@@ -66,8 +66,13 @@ class ProcessingLogic {
   /// Fired when a packet carrying a flow deadline enters its VOQ.
   void set_deadline_callback(DeadlineCallback cb) { deadline_cb_ = std::move(cb); }
 
-  /// Entry point for generator traffic at host `p.src`.
-  void ingest(const net::Packet& p);
+  /// Rewrites a packet as it enters the switch (the fat-tree placement).
+  using Rewrite = std::function<void(net::Packet&)>;
+
+  /// Entry point for generator traffic at host `p.src`.  A non-null
+  /// `rewrite` is applied to this hop's own copy of the packet before
+  /// anything reads it.
+  void ingest(const net::Packet& p, const Rewrite* rewrite = nullptr);
 
   /// Grant delivery from the scheduling logic (already latency-delayed).
   void handle_grants(const control::GrantSet& grants);
@@ -105,7 +110,7 @@ class ProcessingLogic {
   /// Applies the classifier's verdict to `p` in place.
   net::Packet& classify(net::Packet& p);
   /// The oldest packet on the host uplink reaches the ToR (ToR placement).
-  void arrive_at_tor();
+  void arrive_at_tor(const net::Packet& p);
   void enqueue(const net::Packet& p);
   /// Serves the held OCS grant of `input`: launches the VOQ head if the
   /// window is open and the wire is free, else (re)arms the input's single
@@ -133,8 +138,9 @@ class ProcessingLogic {
   queueing::VoqBank voqs_;
   std::vector<InputState> inputs_;
   std::vector<queueing::DrainQueue> eps_wires_;  ///< per input, into the EPS
-  /// Packets on the host uplinks (ToR placement), oldest first.
-  util::Fifo<net::Packet> ingress_;
+  /// Packets on the host uplinks (ToR placement), oldest first.  Every
+  /// uplink has the same latency, so one delay line carries them all.
+  sim::DelayLine<net::Packet> ingress_;
   std::int64_t ingress_bytes_{0};
   RequestCallback request_cb_;
   VoqEventCallback arrival_cb_;

@@ -51,7 +51,7 @@ void EventQueue::release_slot(std::uint32_t i) noexcept {
 EventId EventQueue::link(Time at, std::uint32_t i) {
   try {
     if (next_seq_ == kSeqLimit) throw std::length_error{"EventQueue: 2^40 pushes exhausted"};
-    if (live_ >= rebuild_at_live_ || next_seq_ == check_at_) check_width();
+    if (live_ >= rebuild_at_live_ || pushes_ == check_at_) check_width();
     // The far set must take this event, or everything a rewind sends it,
     // without allocating.
     const bool behind = (at.ps() >> shift_) < cur_;
@@ -62,10 +62,12 @@ EventId EventQueue::link(Time at, std::uint32_t i) {
     throw;
   }
   const EventId id{next_seq_++, i};
+  ++pushes_;
   Node& n = node(i);
   n.at = at.ps();
   n.word = id.seq << kLinkBits | kNone;
   ++live_;
+  low_ = std::min(low_, n.at);
   place(i);
   return id;
 }
@@ -121,6 +123,7 @@ std::uint32_t EventQueue::seek_head(std::int64_t horizon) {
       const std::int64_t k = cur_ + static_cast<std::int64_t>((b - c) & (nb_ - 1));
       const std::uint32_t i = buckets_[b].head;
       if (node(i).at > horizon) {
+        low_ = node(i).at;
         advance(std::min(k, horizon >> shift_));
         return kNone;
       }
@@ -131,6 +134,7 @@ std::uint32_t EventQueue::seek_head(std::int64_t horizon) {
     // cursor to it, which pulls it onto the wheel.
     const std::int64_t t = heap_[0].at.ps();
     if (t > horizon) {
+      low_ = t;
       advance(horizon >> shift_);
       return kNone;
     }
@@ -143,12 +147,12 @@ void EventQueue::check_width() {
   // buckets too wide for the traffic now; more than one push in eight to
   // the far set, a span too short.  Either way the pending events of now,
   // not those of the last build, set the width.
-  const std::uint64_t window = next_seq_ - checked_at_;
+  const std::uint64_t window = pushes_ - checked_at_;
   if (live_ >= rebuild_at_live_ || walked_ > window || 8 * far_pushes_ > window) rebuild();
   walked_ = 0;
   far_pushes_ = 0;
-  checked_at_ = next_seq_;
-  check_at_ = next_seq_ + nb_;
+  checked_at_ = pushes_;
+  check_at_ = pushes_ + nb_;
 }
 
 void EventQueue::rebuild() {

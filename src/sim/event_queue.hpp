@@ -48,9 +48,15 @@
 // queue driven directly with earlier times) moves the cursor back and sends
 // the buckets that leave the span to the far set.
 //
+// Events kept outside the queue (the simulator's delay lines) take their
+// seqs from the same counter with `take_seq`, and `fire_before` fires the
+// head only if it precedes such an event's (time, seq).  Most of those
+// calls are answered by a cached lower bound on the head's time: a push
+// lowers it, and a look for the head raises it to the head's time.
+//
 // Limits, from the node's layout: fewer than 2^24 events pending at once,
-// and at most 2^40 - 1 pushes over a queue's lifetime.  Exceeding either
-// throws std::length_error.
+// and at most 2^40 - 1 seqs (pushes and take_seq calls) over a queue's
+// lifetime.  Exceeding either throws std::length_error.
 //
 // Firing is in place: `fire_next` takes the head out of the queue and calls
 // its callback inside the slot it was constructed in, then frees the slot.
@@ -73,6 +79,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -250,29 +257,41 @@ class EventQueue {
   [[nodiscard]] Time next_time() const;
 
   /// Fires the earliest live event if there is one stamped at or before
-  /// `horizon`: takes it out of the queue, calls `on_fire(at)` with its
-  /// timestamp, then calls the event's callback in place.  The slot is
+  /// `horizon`: takes it out of the queue, calls `on_fire(at, seq)` with its
+  /// timestamp and seq, then calls the event's callback in place.  The slot is
   /// freed (and the callable destroyed) when the callback returns or
   /// throws.  Returns false, doing nothing, when no such event exists.
   template <class OnFire>
   bool fire_next(Time horizon, OnFire&& on_fire) {
     const std::uint32_t i = head_until(horizon.ps());
     if (i == kNone) return false;
-    const Time at = Time::picoseconds(node(i).at);
-    fired_seq_ = node(i).word >> kLinkBits;
-    take_head(i);
-    const Release release{*this, i};
-    on_fire(at);
-    callback(i)();
+    fire(i, on_fire);
     return true;
   }
 
-  /// Total events ever pushed (for engine statistics).  Seqs count pushes
-  /// from 1, so the next push gets total_pushed() + 1.
-  [[nodiscard]] std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
+  /// Like fire_next, but fires the earliest live event only if it precedes
+  /// the key (`at`, `seq`) of an event kept outside the queue, which must
+  /// be a seq taken with take_seq.  A cached lower bound on the head's time
+  /// answers most calls where that key comes first without a seek.
+  template <class OnFire>
+  bool fire_before(Time at, std::uint64_t seq, OnFire&& on_fire) {
+    if (low_ > at.ps()) return false;
+    const std::uint32_t i = head_until(at.ps());
+    if (i == kNone || (node(i).at == at.ps() && node(i).word >> kLinkBits > seq)) return false;
+    fire(i, on_fire);
+    return true;
+  }
 
-  /// Seq of the event fire_next fired last (whose callback may be running).
-  [[nodiscard]] std::uint64_t fired_seq() const noexcept { return fired_seq_; }
+  /// Takes the next seq without pushing an event, for an event kept outside
+  /// the queue that must fire in its place among the queue's events.
+  std::uint64_t take_seq() {
+    if (next_seq_ == kSeqLimit) throw std::length_error{"EventQueue: 2^40 pushes exhausted"};
+    return next_seq_++;
+  }
+
+  /// Seqs handed out so far, by pushes and take_seq.  Seqs count from 1, so
+  /// the next one is total_pushed() + 1.
+  [[nodiscard]] std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
  private:
   /// Per slot: the event's time and one word, seq << kLinkBits | link.  A
@@ -365,15 +384,30 @@ class EventQueue {
 
   /// The slot of the earliest live event if it is stamped at or before
   /// `horizon`, else kNone.  Moves the cursor to the head's bucket, or up to
-  /// the horizon's when the head lies beyond it.
+  /// the horizon's when the head lies beyond it; the head's time, found
+  /// either way, becomes the lower bound.
   [[nodiscard]] std::uint32_t head_until(std::int64_t horizon) {
     if (live_ == 0) return kNone;
     const std::size_t b = static_cast<std::size_t>(cur_) & (nb_ - 1);
     if (occupied(b)) {
       const std::uint32_t i = buckets_[b].head;
-      return node(i).at <= horizon ? i : kNone;
+      if (node(i).at <= horizon) return i;
+      low_ = node(i).at;
+      return kNone;
     }
     return seek_head(horizon);
+  }
+
+  /// Takes head slot `i`, as returned by head_until, out of the queue and
+  /// calls `on_fire(at, seq)`, then its callback in place.
+  template <class OnFire>
+  void fire(std::uint32_t i, OnFire& on_fire) {
+    const Time at = Time::picoseconds(node(i).at);
+    const std::uint64_t seq = node(i).word >> kLinkBits;
+    take_head(i);
+    const Release release{*this, i};
+    on_fire(at, seq);
+    callback(i)();
   }
 
   std::uint32_t acquire_slot();
@@ -430,7 +464,10 @@ class EventQueue {
   std::uint32_t free_head_{kNone};
   std::size_t live_{0};
   std::uint64_t next_seq_{1};
-  std::uint64_t fired_seq_{0};
+  std::uint64_t pushes_{0};  // pushes so far; take_seq does not count
+  /// No live event is earlier: lowered by pushes, raised to the head's time
+  /// by head_until and seek_head; firing and cancelling keep it a bound.
+  std::int64_t low_{Time::max().ps()};
 
   // Wheel state, from the first push on.  Bucket index b holds absolute
   // bucket cur_ + ((b - cur_) mod nb_); an absolute bucket spans times
@@ -444,8 +481,8 @@ class EventQueue {
   std::vector<std::uint64_t> bits_;     // bit b: bucket index b is non-empty
   std::vector<std::uint64_t> summary_;  // bit w: bits_[w] is non-zero
   std::size_t rebuild_at_live_{0};  // so the first push builds the wheel
-  std::uint64_t check_at_{0};     // next_seq_ of the next check_width
-  std::uint64_t checked_at_{0};   // next_seq_ at the last one
+  std::uint64_t check_at_{0};     // pushes_ of the next check_width
+  std::uint64_t checked_at_{0};   // pushes_ at the last one
   std::uint64_t walked_{0};       // list steps of inserts since then
   std::uint64_t far_pushes_{0};   // pushes into the far set since then
   std::vector<std::int64_t> times_;   // rebuild scratch

@@ -25,17 +25,29 @@
 // plus a walk of its bucket.  A run that stops at a horizon leaves the queue
 // ready for pushes at that horizon, so `run_until` in steps costs nothing
 // extra.
+//
+// Beside the calendar sit delay lines (delay_line.hpp): FIFOs of events
+// that share one fixed delay and one handler, such as the ToR ingress hop.
+// An entry costs a FIFO push and pop and no calendar slot.  Each step fires
+// whichever comes first in (time, seq) order, the calendar's head or the
+// earliest line head; the calendar keeps a lower bound on its head's time,
+// so a line head that comes first usually fires without a look into the
+// calendar's buckets.  Entries take their seqs from the calendar's counter,
+// so the firing order is exactly the one scheduling them as events gives.
 #ifndef XDRS_SIM_SIMULATOR_HPP
 #define XDRS_SIM_SIMULATOR_HPP
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace xdrs::sim {
+
+class DelayLineBase;
 
 /// Engine statistics: events executed, scheduled and cancelled.
 struct SimulatorStats {
@@ -49,6 +61,7 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  ~Simulator();
 
   /// Current simulated time.  Monotonically non-decreasing.
   [[nodiscard]] Time now() const noexcept { return now_; }
@@ -84,30 +97,51 @@ class Simulator {
   void stop() noexcept { stopping_ = true; }
 
   /// Events at one time fire in the order they were scheduled: the k-th
-  /// schedule call gets order k.  A component that keeps a would-be event
-  /// out of the queue records next_order() instead, and compares it with
-  /// running_order() to learn whether that event would already have fired.
+  /// schedule call or delay-line push gets order k.  A component that keeps
+  /// a would-be event out of the queue records next_order() instead, and
+  /// compares it with running_order() to learn whether that event would
+  /// already have fired.
   [[nodiscard]] std::uint64_t next_order() const noexcept { return queue_.total_pushed() + 1; }
 
   /// Order of the event whose callback is running; outside run() and
   /// run_until(), every event at or before now() has fired, so the maximum.
   [[nodiscard]] std::uint64_t running_order() const noexcept {
-    return running_ ? queue_.fired_seq() : ~std::uint64_t{0};
+    return running_ ? fired_seq_ : ~std::uint64_t{0};
   }
 
   [[nodiscard]] const SimulatorStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
+  /// Calendar events and delay-line entries not yet fired.
+  [[nodiscard]] std::size_t pending_events() const noexcept;
 
  private:
-  /// Fires the earliest pending event in place if it is stamped at or
-  /// before `horizon` and no stop was requested; returns false otherwise.
+  friend class DelayLineBase;
+
+  /// Fires the earliest pending event, from the calendar or a delay line,
+  /// if it is stamped at or before `horizon` and no stop was requested;
+  /// returns false otherwise.
   bool step(Time horizon);
+
+  // Delay-line bookkeeping (sim/delay_line.hpp).
+  void attach(DelayLineBase& line);
+  void detach(DelayLineBase& line) noexcept;
+  /// The seq of an entry pushed now, counted as a scheduled event.
+  std::uint64_t take_line_seq() {
+    ++stats_.events_scheduled;
+    return queue_.take_seq();
+  }
+  /// `line`, empty until now, has a head: it may fire first.
+  void line_armed(DelayLineBase& line) noexcept;
+  /// Finds the non-empty line whose head fires first, if any.
+  void find_first_line() noexcept;
 
   EventQueue queue_;
   Time now_{Time::zero()};
+  std::uint64_t fired_seq_{0};  ///< seq of the event fired last
   bool stopping_{false};
   bool running_{false};  ///< inside run() or run_until()
   SimulatorStats stats_;
+  std::vector<DelayLineBase*> lines_;
+  DelayLineBase* first_line_{nullptr};  ///< non-empty line with the earliest head
 };
 
 }  // namespace xdrs::sim

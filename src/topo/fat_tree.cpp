@@ -38,11 +38,11 @@ Placement place_flow(std::uint64_t seed, std::uint32_t rack, net::PortId src, ne
   const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
   if (u01 < locality) return out;
   const std::uint64_t h2 = mix64(h);
-  std::uint32_t other = static_cast<std::uint32_t>(h2 % (racks - 1));
+  std::uint32_t other = static_cast<std::uint32_t>(hash_mod(h2, racks - 1));
   if (other >= rack) ++other;  // skip self: remote means a DIFFERENT rack
   out.remote = true;
   out.dst_rack = other;
-  out.uplink = static_cast<std::uint32_t>(mix64(h2) % uplinks);
+  out.uplink = static_cast<std::uint32_t>(hash_mod(mix64(h2), uplinks));
   return out;
 }
 

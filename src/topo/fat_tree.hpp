@@ -70,6 +70,13 @@ struct Placement {
   std::uint32_t uplink{0};   ///< uplink index within the ToR (remote only)
 };
 
+/// `h % n` for n > 0, taken with a mask when n is a power of two:
+/// place_flow reduces two hashes per packet, and a 64-bit division costs
+/// tens of cycles.
+[[nodiscard]] constexpr std::uint64_t hash_mod(std::uint64_t h, std::uint64_t n) noexcept {
+  return (n & (n - 1)) == 0 ? h & (n - 1) : h % n;
+}
+
 /// Deterministic flow placement: hashes (seed, rack, src, dst, flow) to a
 /// uniform [0,1) keep-local draw against `locality`, then (remote case) to
 /// a destination rack != rack and an uplink.  Pure — no simulator state,

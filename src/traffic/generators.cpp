@@ -217,6 +217,7 @@ void FlowGenerator::stream(sim::Simulator& sim, sim::Time horizon, net::PortId d
   p.deadline = deadline;
   p.flow_bytes = flow_bytes;
   sink_(p);
+  if (remaining - bytes <= 0) return;  // the flow's last packet
   const sim::Time tx = cfg_.line_rate.transmission_time(bytes + sim::kWireOverheadBytes);
   sim.schedule(tx, [this, &sim, horizon, dst, remaining, bytes, flow, elephant, flow_bytes,
                     deadline] {

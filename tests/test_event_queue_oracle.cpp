@@ -6,16 +6,25 @@
 // events at one timestamp, cancels of near, far and stale ids, horizons
 // that stop `fire_next`, pushes behind the last fired event, and callbacks
 // that schedule and cancel from inside the queue.
+//
+// The second half drives a Simulator whose events go partly to delay lines
+// (sim/delay_line.hpp) against the heap fed every delay-line entry as an
+// ordinary event, pushed at the same point and so given the same seq.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "reference_event_heap.hpp"
+#include "sim/delay_line.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 
 namespace xdrs::sim {
 namespace {
@@ -51,7 +60,7 @@ void push(Side<Q>& s, Time at, std::uint64_t label) {
 
 template <class Q>
 bool fire(Side<Q>& s, Time horizon, Time& at) {
-  return s.q.fire_next(horizon, [&](Time t) {
+  return s.q.fire_next(horizon, [&](Time t, auto&&... /*seq*/) {
     s.now = t;
     at = t;
   });
@@ -213,6 +222,191 @@ TEST(EventQueueOracle, HorizonStopsThenPushesAtTheHorizon) {
     if (!r.q.empty()) {
       ASSERT_EQ(a.q.next_time(), r.q.next_time());
     }
+  }
+}
+
+// ---- delay lines beside the calendar ---------------------------------------
+
+/// Delays of the three lines: zero (entries tie with the running event),
+/// one picosecond, and a link latency.
+constexpr std::array<Time, 3> kLineDelay{Time::zero(), Time::picoseconds(1),
+                                         Time::nanoseconds(500)};
+
+/// What either side recorded, per firing.
+struct Fired {
+  std::vector<std::uint64_t> labels;
+  std::vector<std::uint64_t> orders;  // the event's seq, as the side saw it
+  std::vector<Time> times;
+  bool operator==(const Fired&) const = default;
+};
+
+void PrintTo(const Fired& f, std::ostream* os) {
+  for (std::size_t k = 0; k < f.labels.size(); ++k) {
+    *os << "\n  label " << f.labels[k] << " order " << f.orders[k] << " at "
+        << f.times[k].ps() << " ps";
+  }
+}
+
+/// The simulator: calendar events and entries of three delay lines.  Every
+/// callback stops the run, so run_until fires one event at a time.
+struct SimSide {
+  Simulator sim;
+  std::vector<std::unique_ptr<DelayLine<std::uint64_t>>> lines;
+  Fired fired;
+  std::vector<EventId> ids;  // calendar events, by push index
+};
+
+/// The oracle: the same events, delay-line entries included, in one heap.
+struct HeapSide {
+  ReferenceEventHeap q;
+  Fired fired;
+  std::vector<EventId> ids;
+  Time now = Time::zero();
+};
+
+void on_label(SimSide& s, std::uint64_t label, std::uint64_t order);
+void on_label(HeapSide& s, std::uint64_t label, std::uint64_t order);
+
+void schedule(SimSide& s, Time at, std::uint64_t label) {
+  s.ids.push_back(
+      s.sim.schedule_at(at, [&s, label] { on_label(s, label, s.sim.running_order()); }));
+}
+void schedule(HeapSide& s, Time at, std::uint64_t label) {
+  const std::uint64_t order = s.q.total_pushed() + 1;
+  s.ids.push_back(s.q.push(at, [&s, label, order] { on_label(s, label, order); }));
+}
+void line_push(SimSide& s, std::size_t k, std::uint64_t label) { s.lines[k]->push(label); }
+void line_push(HeapSide& s, std::size_t k, std::uint64_t label, Time now) {
+  const std::uint64_t order = s.q.total_pushed() + 1;
+  (void)s.q.push(now + kLineDelay[k], [&s, label, order] { on_label(s, label, order); });
+}
+[[nodiscard]] Time now_of(const SimSide& s) { return s.sim.now(); }
+[[nodiscard]] Time now_of(const HeapSide& s) { return s.now; }
+void line_push_now(SimSide& s, std::size_t k, std::uint64_t label) { line_push(s, k, label); }
+void line_push_now(HeapSide& s, std::size_t k, std::uint64_t label) {
+  line_push(s, k, label, s.now);
+}
+bool cancel(SimSide& s, EventId id) { return s.sim.cancel(id); }
+bool cancel(HeapSide& s, EventId id) { return s.q.cancel(id); }
+
+/// One firing, the same on both sides: record it, then, by label, schedule
+/// a calendar child, push a delay-line child (onto any line, its own
+/// included) and cancel the calendar event pushed last but one.
+template <class S>
+void react(S& s, std::uint64_t label, std::uint64_t order) {
+  s.fired.labels.push_back(label);
+  s.fired.orders.push_back(order);
+  s.fired.times.push_back(now_of(s));
+  if (label % 5 == 0) schedule(s, now_of(s) + child_delay(label), label * 31 + 7);
+  if (label % 11 == 0) line_push_now(s, label % kLineDelay.size(), label * 37 + 3);
+  if (label % 7 == 0 && s.ids.size() >= 2) (void)cancel(s, s.ids[s.ids.size() - 2]);
+}
+
+void on_label(SimSide& s, std::uint64_t label, std::uint64_t order) {
+  s.sim.stop();
+  react(s, label, order);
+}
+void on_label(HeapSide& s, std::uint64_t label, std::uint64_t order) { react(s, label, order); }
+
+void run_line_stream(std::uint64_t seed, int steps) {
+  std::mt19937_64 rng{seed};
+  SimSide a;
+  HeapSide r;
+  for (const Time d : kLineDelay) {
+    a.lines.push_back(std::make_unique<DelayLine<std::uint64_t>>(
+        a.sim, d,
+        [&a](const std::uint64_t& label) { on_label(a, label, a.sim.running_order()); }));
+  }
+  std::uint64_t next_label = 1;
+  const std::string where = "seed " + std::to_string(seed);
+  const auto push_both = [&](Time at) {
+    const std::uint64_t label = next_label++;
+    ASSERT_EQ(a.sim.next_order(), r.q.total_pushed() + 1) << where;
+    schedule(a, at, label);
+    schedule(r, at, label);
+    ASSERT_EQ(a.ids.back().seq, r.ids.back().seq) << where;
+  };
+  const auto line_both = [&](std::size_t k) {
+    const std::uint64_t label = next_label++;
+    ASSERT_EQ(a.sim.next_order(), r.q.total_pushed() + 1) << where;
+    line_push(a, k, label);
+    line_push(r, k, label, a.sim.now());
+  };
+  // One firing at most, up to `horizon`: the same event on both sides.
+  const auto fire_both = [&](Time horizon) {
+    // Never behind the clock, and never at the end of time with nothing
+    // pending, where run_until would move the clock.
+    horizon = std::max(horizon, a.sim.now());
+    if (r.q.empty()) horizon = std::min(horizon, a.sim.now() + Time::nanoseconds(1));
+    const std::size_t before = r.fired.labels.size();
+    const bool fired_r = r.q.fire_next(horizon, [&](Time t) { r.now = t; });
+    a.sim.run_until(horizon);
+    ASSERT_EQ(a.fired.labels.size(), before + (fired_r ? 1 : 0)) << where;
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const auto op = rng() % 100;
+    if (op < 25) {
+      push_both(a.sim.now() + lead(rng));
+    } else if (op < 50) {
+      line_both(rng() % kLineDelay.size());
+    } else if (op < 53) {
+      // A same-time burst: entries of one line interleaved with calendar
+      // events stamped at the entries' time, so only seqs order them.
+      const std::size_t k = rng() % kLineDelay.size();
+      const int n = 64 + static_cast<int>(rng() % 128);
+      for (int j = 0; j < n; ++j) {
+        if (rng() % 2 == 0) {
+          line_both(k);
+        } else {
+          push_both(a.sim.now() + kLineDelay[k]);
+        }
+      }
+    } else if (op < 65) {
+      // Any calendar id ever issued, or a never-issued seq.
+      if (r.ids.empty()) continue;
+      const std::size_t k = rng() % r.ids.size();
+      EventId ia = a.ids[k];
+      EventId ir = r.ids[k];
+      if (rng() % 8 == 0) {
+        ia = ir = EventId{r.q.total_pushed() + 1 + rng() % 8, static_cast<std::uint32_t>(rng() % 64)};
+      }
+      ASSERT_EQ(cancel(a, ia), cancel(r, ir)) << where << " step " << step;
+    } else if (op < 90) {
+      Time horizon = Time::max();
+      if (!r.q.empty()) {
+        const Time head = r.q.next_time();
+        switch (rng() % 4) {
+          case 0: horizon = head; break;
+          case 1: horizon = head - Time::picoseconds(1 + static_cast<std::int64_t>(rng() % 100'000)); break;
+          case 2: horizon = head + lead(rng); break;
+          default: break;
+        }
+      }
+      fire_both(horizon);
+    } else {
+      const int n = static_cast<int>(rng() % 64);
+      for (int j = 0; j < n; ++j) fire_both(Time::max());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(a.sim.pending_events(), r.q.size()) << where << " step " << step;
+    ASSERT_EQ(a.fired, r.fired) << where << " step " << step;
+  }
+  while (!r.q.empty()) {
+    fire_both(Time::max());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(a.fired, r.fired);
+  EXPECT_EQ(a.sim.pending_events(), 0u);
+  for (const auto& line : a.lines) EXPECT_TRUE(line->empty());
+  EXPECT_EQ(a.sim.stats().events_executed, r.fired.labels.size());
+  EXPECT_EQ(a.sim.stats().events_scheduled, r.q.total_pushed());
+}
+
+TEST(EventQueueOracle, DelayLinesInterleaveWithTheCalendarInSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    run_line_stream(seed, 3000);
+    if (HasFatalFailure()) return;
   }
 }
 

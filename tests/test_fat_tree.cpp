@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,6 +88,29 @@ TEST(Placement, SeedAndLocalityChangeTheAssignment) {
     }
   }
   EXPECT_GT(differs, 0);
+}
+
+TEST(Placement, HashModMatchesTheRemainderForEveryPlacementDivisor) {
+  // place_flow reduces by racks - 1 (racks 2-9) and by the uplink count
+  // (1-33 covers ft2's 16 and powers of two either side); the mask path
+  // must give exactly what % gives.
+  std::mt19937_64 rng{2015};
+  for (std::uint64_t n = 1; n <= 33; ++n) {
+    for (int k = 0; k < 2000; ++k) {
+      const std::uint64_t h = k < 4 ? ~std::uint64_t{0} - static_cast<std::uint64_t>(k) : rng();
+      ASSERT_EQ(topo::hash_mod(h, n), h % n) << "h " << h << " n " << n;
+    }
+  }
+  for (std::uint32_t racks = 2; racks <= 9; ++racks) {
+    for (std::uint32_t uplinks = 1; uplinks <= 33; ++uplinks) {
+      for (std::uint64_t flow = 0; flow < 64; ++flow) {
+        const Placement p = place_flow(rng(), racks - 1, 3, 5, flow, 0.0, racks, uplinks);
+        ASSERT_TRUE(p.remote);
+        ASSERT_LT(p.dst_rack, racks - 1);
+        ASSERT_LT(p.uplink, uplinks);
+      }
+    }
+  }
 }
 
 TEST(TopologySpecTest, UplinkDerivationFollowsOversubscription) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/framework.hpp"
 #include "topo/testbed.hpp"
@@ -311,6 +312,35 @@ TEST(Framework, DirectInjectionWorks) {
   const RunReport r = fw.run(2_ms);
   EXPECT_EQ(r.offered_packets, 1u);
   EXPECT_EQ(r.delivered_packets, 1u);
+}
+
+TEST(Framework, IngressTransformRewritesTheSwitchCopyBeforeAnythingReadsIt) {
+  // The transform acts on the ingress hop's own copy: the arrival trace,
+  // the VOQ and the delivery see the rewritten packet, the caller's packet
+  // is untouched.  Both placements, since only ToR placement has the hop.
+  for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
+    FrameworkConfig cfg = fast_hybrid();
+    cfg.placement = placement;
+    HybridSwitchFramework fw{cfg};
+    fw.use_default_policies();
+    fw.trace().enable();
+    net::Packet p;
+    p.src = 0;
+    p.dst = 1;
+    p.size_bytes = 1500;
+    const HybridSwitchFramework::IngressTransform to_port_2 = [](net::Packet& q) { q.dst = 2; };
+    fw.simulator().schedule(10_us, [&fw, &p, &to_port_2] { fw.inject(p, &to_port_2); });
+    const RunReport r = fw.run(2_ms);
+    EXPECT_EQ(p.dst, 1u);
+    EXPECT_EQ(r.delivered_packets, 1u);
+    using sim::TraceCategory;
+    for (const TraceCategory c :
+         {TraceCategory::kPacketArrival, TraceCategory::kEnqueue, TraceCategory::kDeliver}) {
+      const std::vector<sim::TraceEvent> seen = fw.trace().filter(c);
+      ASSERT_EQ(seen.size(), 1u) << static_cast<int>(c);
+      EXPECT_EQ(seen[0].b, 2u) << static_cast<int>(c);
+    }
+  }
 }
 
 TEST(Framework, TraceCapturesPipelineWhenEnabled) {

@@ -1,6 +1,6 @@
 // Tests for the event queue and the discrete-event engine: ordering,
-// determinism, cancellation, callback lifetimes, in-place firing and horizon
-// semantics.
+// determinism, cancellation, callback lifetimes, in-place firing, horizon
+// semantics, and the delay lines beside the calendar queue.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/delay_line.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -23,7 +24,7 @@ using namespace xdrs::sim::literals;
 
 /// Fires the earliest event regardless of its time; false when none is left.
 bool fire(EventQueue& q) {
-  return q.fire_next(Time::max(), [](Time) {});
+  return q.fire_next(Time::max(), [](Time, std::uint64_t) {});
 }
 
 TEST(EventQueue, FiresInTimeOrder) {
@@ -92,7 +93,7 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
 TEST(EventQueue, FireOnEmptyReturnsFalse) {
   EventQueue q;
   bool hook_called = false;
-  EXPECT_FALSE(q.fire_next(Time::max(), [&](Time) { hook_called = true; }));
+  EXPECT_FALSE(q.fire_next(Time::max(), [&](Time, std::uint64_t) { hook_called = true; }));
   EXPECT_FALSE(hook_called);
   EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
@@ -101,16 +102,19 @@ TEST(EventQueue, FireNextHonoursHorizon) {
   EventQueue q;
   bool fired = false;
   (void)q.push(5_us, [&] { fired = true; });
-  EXPECT_FALSE(q.fire_next(4_us, [](Time) {}));
+  EXPECT_FALSE(q.fire_next(4_us, [](Time, std::uint64_t) {}));
   EXPECT_FALSE(fired);
   EXPECT_EQ(q.size(), 1u);
   Time seen{};
-  EXPECT_TRUE(q.fire_next(5_us, [&](Time at) {
+  std::uint64_t seen_seq = 0;
+  EXPECT_TRUE(q.fire_next(5_us, [&](Time at, std::uint64_t seq) {
     seen = at;
+    seen_seq = seq;
     EXPECT_FALSE(fired);  // the hook runs before the callback
   }));
   EXPECT_TRUE(fired);
   EXPECT_EQ(seen, 5_us);
+  EXPECT_EQ(seen_seq, 1u);
 }
 
 TEST(EventQueue, StaleIdNeverCancelsTheSlotsNextEvent) {
@@ -185,11 +189,16 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
       } else {
         const auto [at, seq] = *model.begin();
         // A horizon just short of the head fires nothing.
-        ASSERT_FALSE(q.fire_next(at - Time::picoseconds(1), [](Time) {}));
+        ASSERT_FALSE(q.fire_next(at - Time::picoseconds(1), [](Time, std::uint64_t) {}));
         Time fired_at = Time::max();
         const std::size_t fired_before = fired.size();
-        ASSERT_TRUE(q.fire_next(at, [&](Time t) { fired_at = t; }));
+        std::uint64_t fired_seq = 0;
+        ASSERT_TRUE(q.fire_next(at, [&](Time t, std::uint64_t s) {
+          fired_at = t;
+          fired_seq = s;
+        }));
         ASSERT_EQ(fired_at, at);
+        ASSERT_EQ(fired_seq, seq);
         ASSERT_EQ(fired.size(), fired_before + 1);
         ASSERT_EQ(fired.back(), seq);
         model.erase(model.begin());
@@ -530,6 +539,74 @@ TEST(Simulator, CallbackCanGrowTheSlabWhileItRuns) {
   EXPECT_TRUE(intact);
   EXPECT_EQ(fired, kScheduled);
   EXPECT_EQ(sim.stats().events_executed, static_cast<std::uint64_t>(kScheduled) + 1);
+}
+
+// ---- delay lines -------------------------------------------------------------
+
+TEST(DelayLine, HandlerSeesItsEntrysOrderAsTheRunningOrder) {
+  Simulator sim;
+  std::vector<std::uint64_t> pushed_at;  // next_order() just before each push
+  std::vector<std::uint64_t> running;    // running_order() inside each firing
+  DelayLine<int> line{sim, 1_us, [&](const int&) { running.push_back(sim.running_order()); }};
+  sim.schedule(0_us, [&] {
+    running.push_back(sim.running_order());
+    for (int k = 0; k < 3; ++k) {
+      pushed_at.push_back(sim.next_order());
+      line.push(k);
+      // A calendar event at the entries' time, between two of them.
+      if (k == 1) sim.schedule(1_us, [&] { running.push_back(sim.running_order()); });
+    }
+  });
+  sim.run();
+  // Orders 2, 3 and 5 went to the line, 4 to the calendar event between.
+  EXPECT_EQ(pushed_at, (std::vector<std::uint64_t>{2, 3, 5}));
+  EXPECT_EQ(running, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.running_order(), ~std::uint64_t{0});  // outside run()
+}
+
+TEST(DelayLine, RunDrainsTheLineOnceTheCalendarIsEmpty) {
+  Simulator sim;
+  std::vector<std::int64_t> fired_ps;
+  DelayLine<int> line{sim, 2_us, [&](const int& v) {
+                        fired_ps.push_back(sim.now().ps());
+                        if (v < 3) line.push(v + 1);  // each entry pushes the next
+                      }};
+  sim.schedule(1_us, [&] { line.push(0); });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(1_us);
+  EXPECT_EQ(sim.pending_events(), 1u);  // the entry, not a calendar event
+  EXPECT_EQ(line.size(), 1u);
+  sim.run();
+  EXPECT_EQ(fired_ps, (std::vector<std::int64_t>{(3_us).ps(), (5_us).ps(), (7_us).ps(),
+                                                 (9_us).ps()}));
+  EXPECT_TRUE(line.empty());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.now(), 9_us);
+  EXPECT_EQ(sim.stats().events_scheduled, 5u);
+  EXPECT_EQ(sim.stats().events_executed, 5u);
+}
+
+TEST(DelayLine, OwnerDestroyedBeforeItsSimulatorTakesItsEntriesWithIt) {
+  Simulator sim;
+  int fired = 0;
+  DelayLine<int> kept{sim, 1_us, [&](const int&) { ++fired; }};
+  {
+    auto gone = std::make_unique<DelayLine<int>>(sim, 1_us, [&](const int&) { fired += 100; });
+    gone->push(1);
+    gone->push(2);
+    kept.push(3);
+    EXPECT_EQ(sim.pending_events(), 3u);
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.schedule(5_us, [&] { fired += 10; });
+  sim.run();
+  EXPECT_EQ(fired, 11);
+  // The simulator may also go first; the line outlives it unused.
+  auto sim2 = std::make_unique<Simulator>();
+  DelayLine<int> orphan{*sim2, 1_us, [](const int&) {}};
+  orphan.push(0);
+  sim2.reset();
+  EXPECT_EQ(orphan.size(), 1u);
 }
 
 }  // namespace

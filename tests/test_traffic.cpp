@@ -1,7 +1,10 @@
 // Tests for destination patterns, size models and packet/flow generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -304,6 +307,39 @@ TEST(FlowGenerator, GeneratesFlowsWithConsistentIds) {
     }
     if (i > 50) break;  // bounded quadratic check
   }
+}
+
+TEST(FlowGenerator, SchedulesNoEventAfterAFlowsLastPacket) {
+  // Each packet after a flow's first costs one event; a finished flow costs
+  // none more, and a flow the horizon cuts short one that sends nothing.
+  sim::Simulator sim;
+  FlowGenerator::Config c;
+  c.src = 1;
+  c.line_rate = sim::DataRate::gbps(10);
+  c.load = 0.5;
+  c.elephant_fraction = 0.05;
+  c.dest = std::make_shared<UniformChooser>(4);
+  c.seed = 29;
+  FlowGenerator g{c};
+  std::map<net::FlowId, std::pair<std::int64_t, std::int64_t>> sent;  // flow -> (sent, size)
+  std::uint64_t packets = 0;
+  g.start(
+      sim,
+      [&](const net::Packet& p) {
+        ++packets;
+        auto& [bytes, size] = sent[p.flow];
+        bytes += p.size_bytes;
+        size = p.flow_bytes;
+      },
+      5_ms);
+  sim.run();
+  ASSERT_EQ(sent.size(), g.flows_started());
+  std::uint64_t cut_short = 0;
+  for (const auto& [flow, bytes_size] : sent) {
+    if (bytes_size.first < bytes_size.second) ++cut_short;
+  }
+  ASSERT_GT(sent.size(), cut_short);  // some flows finish
+  EXPECT_EQ(sim.stats().events_executed, packets + cut_short);
 }
 
 TEST(FlowGenerator, ApproximatesConfiguredLoad) {
