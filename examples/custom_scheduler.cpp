@@ -16,6 +16,7 @@
 #include "schedulers/matcher.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "stats/table.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace {
@@ -102,7 +103,8 @@ core::RunReport evaluate(const char* matcher_spec) {
   c.discipline = core::SchedulingDiscipline::kSlotted;
   c.slot_time = sim::Time::nanoseconds(12'500);
   c.ocs_reconfig = 50_ns;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(core::PolicyStack{}.with_matcher(matcher_spec));
 
   // A skewed workload where starvation matters: Zipf destinations.
@@ -112,7 +114,7 @@ core::RunReport evaluate(const char* matcher_spec) {
   spec.skew = 1.1;
   spec.seed = 7;
   topo::attach_workload(fw, spec);
-  return fw.run(20_ms, 4_ms);
+  return ft.run(20_ms, 4_ms);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/framework.hpp"
 #include "stats/table.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace {
@@ -30,7 +31,8 @@ core::RunReport run_with(const char* scheduler) {
   c.min_circuit_hold = 20_us;
   c.discipline = core::SchedulingDiscipline::kHybridEpoch;
 
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};  // a single switch is a 1-rack tree
+  core::HybridSwitchFramework& fw = ft.rack(0);
   // `scheduler` is a circuit-scheduler spec: "cthrough", "tms:4" or
   // "solstice:10" (amortisation 10x the dark-time cost).
   fw.set_policies(core::PolicyStack{}.with_circuit(scheduler));
@@ -53,7 +55,7 @@ core::RunReport run_with(const char* scheduler) {
   // Interactive streams between 6 server pairs.
   topo::attach_voip(fw, 6, 20_us, 200);
 
-  return fw.run(25_ms, 5_ms);
+  return ft.run(25_ms, 5_ms);
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/framework.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace {
@@ -52,7 +53,7 @@ void usage() {
       "  --circuit=C         hybrid planner spec: solstice[:amort] | cthrough |\n"
       "                      tms[:k] | bvn[:slots]\n"
       "  --placement=P       tor | host (Figure 1 regimes)\n"
-      "  --timing=T          timing spec: hardware | hw:500MHz | software |\n"
+      "  --timing=T          timing spec: hardware | hardware:500MHz | software |\n"
       "                      distributed | ideal\n"
       "  --pattern=W         uniform|hotspot|zipf|permutation|onoff|flows|shuffle|incast\n"
       "  --load=F            per-port offered load in [0,1]\n"
@@ -139,19 +140,23 @@ int main(int argc, char** argv) {
                                           : core::BufferPlacement::kToRSwitch;
   cfg.seed = opt.seed;
 
-  core::HybridSwitchFramework fw{cfg};
   // Every flag is a PolicyRegistry spec, so user-registered algorithms work
   // here without touching the explorer.
   core::PolicyStack stack;
   stack.matcher = opt.scheduler;
   stack.circuit = opt.circuit;
   stack.timing = opt.timing;
+  // A bad config (say, a slot too short for one MTU) or spec is a usage
+  // error, not a crash.
+  std::optional<topo::FatTree> ft;
   try {
-    fw.set_policies(stack);
+    ft.emplace(topo::TopologySpec{}, cfg);
+    ft->rack(0).set_policies(stack);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
+  core::HybridSwitchFramework& fw = ft->rack(0);
 
   const std::map<std::string, topo::WorkloadSpec::Kind> kinds{
       {"uniform", topo::WorkloadSpec::Kind::kPoissonUniform},
@@ -177,7 +182,7 @@ int main(int argc, char** argv) {
   if (opt.voip) topo::attach_voip(fw, std::min(opt.ports / 2, 8u), Time::microseconds(20), 200);
 
   const core::RunReport r =
-      fw.run(Time::milliseconds(opt.duration_ms), Time::milliseconds(opt.warmup_ms));
+      ft->run(Time::milliseconds(opt.duration_ms), Time::milliseconds(opt.warmup_ms));
 
   std::printf("config     : %u ports, %s, %s, %s timing, pattern=%s load=%.2f\n", cfg.ports,
               to_string(cfg.discipline), to_string(cfg.placement), opt.timing.c_str(),

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "core/framework.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 int main() {
@@ -28,7 +29,10 @@ int main() {
   config.discipline = core::SchedulingDiscipline::kHybridEpoch;
   config.placement = core::BufferPlacement::kToRSwitch;
 
-  core::HybridSwitchFramework framework{config};
+  // A single switch is a 1-rack fat-tree: the tree owns the simulator and
+  // drives the run, rack(0) is the switch to configure.
+  topo::FatTree ft{{}, config};
+  core::HybridSwitchFramework& framework = ft.rack(0);
 
   // 2. Default policy stack: instantaneous (VOQ-register) demand
   //    estimation, hardware-pipeline timing, Solstice circuit planning.
@@ -42,7 +46,7 @@ int main() {
   topo::attach_workload(framework, workload);
 
   // 4. Run 5 ms of simulated time after 1 ms of warm-up.
-  const core::RunReport report = framework.run(5_ms, 1_ms);
+  const core::RunReport report = ft.run(5_ms, 1_ms);
 
   std::printf("offered    : %llu packets\n",
               static_cast<unsigned long long>(report.offered_packets));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace xdrs::core {
 
@@ -9,18 +10,9 @@ std::int64_t reconfig_cost_bytes(const FrameworkConfig& cfg) {
   return cfg.link_rate.bytes_in(cfg.ocs_reconfig);
 }
 
-HybridSwitchFramework::HybridSwitchFramework(FrameworkConfig cfg)
-    : HybridSwitchFramework{cfg, std::make_unique<sim::Simulator>(), nullptr} {}
-
 HybridSwitchFramework::HybridSwitchFramework(sim::Simulator& shared, FrameworkConfig cfg)
-    : HybridSwitchFramework{cfg, nullptr, &shared} {}
-
-HybridSwitchFramework::HybridSwitchFramework(FrameworkConfig cfg,
-                                             std::unique_ptr<sim::Simulator> owned,
-                                             sim::Simulator* shared)
     : cfg_{cfg},
-      owned_sim_{std::move(owned)},
-      sim_{owned_sim_ ? *owned_sim_ : *shared},
+      sim_{shared},
       classifier_{},
       sync_{cfg.ports, cfg.sync},
       ocs_{sim_,
@@ -33,6 +25,17 @@ HybridSwitchFramework::HybridSwitchFramework(FrameworkConfig cfg,
       processing_{sim_, cfg_, classifier_, ocs_, eps_, sync_, trace_},
       scheduling_{sim_, cfg_, switching_, trace_} {
   if (cfg.ports < 2) throw std::invalid_argument{"Framework: need >= 2 ports"};
+  // A slotted window closes ocs_path_latency() before its slot ends, so a
+  // slot shorter than one MTU's serialisation plus that latency delivers
+  // nothing.
+  constexpr std::int64_t kMtuBytes = 1500;
+  if (cfg.discipline == SchedulingDiscipline::kSlotted &&
+      cfg.slot_time - cfg.ocs_path_latency() <
+          cfg.link_rate.transmission_time(kMtuBytes + sim::kWireOverheadBytes)) {
+    throw std::invalid_argument{"Framework: slot_time " + cfg.slot_time.to_string() +
+                                " cannot carry one MTU (" + std::to_string(kMtuBytes) +
+                                " B) before its window closes"};
+  }
   wire();
 }
 
@@ -120,7 +123,7 @@ void HybridSwitchFramework::add_generator(std::unique_ptr<traffic::TrafficGenera
 }
 
 void HybridSwitchFramework::set_uplink_hook(net::PortId first_uplink, UplinkHook hook) {
-  if (ran_) throw std::logic_error{"Framework: set_uplink_hook() must precede run()"};
+  if (ran_) throw std::logic_error{"Framework: set_uplink_hook() must precede start_run()"};
   first_uplink_ = first_uplink;
   uplink_hook_ = std::move(hook);
 }
@@ -175,7 +178,7 @@ void HybridSwitchFramework::on_deliver(const net::Packet& p, control::FabricPath
 }
 
 void HybridSwitchFramework::start_run(sim::Time duration, sim::Time warmup) {
-  if (ran_) throw std::logic_error{"Framework: run() is one-shot per instance"};
+  if (ran_) throw std::logic_error{"Framework: start_run() is one-shot per instance"};
   ran_ = true;
   if (duration <= sim::Time::zero()) {
     throw std::invalid_argument{"Framework: duration must be positive"};
@@ -264,19 +267,6 @@ RunReport HybridSwitchFramework::finalize_run() {
   }
   completion_.finalize(measure_start_, horizon_, report_);
   return report_;
-}
-
-RunReport HybridSwitchFramework::run(sim::Time duration, sim::Time warmup) {
-  start_run(duration, warmup);
-  // Stop 1 ps short of the boundary: run_until() executes events stamped
-  // exactly at its horizon, and packets injected at t == warmup must fall
-  // inside the measured window (counted offered), not at the tail of the
-  // unmeasured warmup — otherwise synchronized sources (incast rounds, CBR
-  // phases) deliver packets that were never offered.
-  if (warmup > sim::Time::zero()) sim_.run_until(warmup - sim::Time::picoseconds(1));
-  begin_measurement();
-  sim_.run_until(horizon_);
-  return finalize_run();
 }
 
 }  // namespace xdrs::core

@@ -6,8 +6,10 @@
 //        |                    v                             v   configuring)
 //      deliveries <---- OCS circuits / EPS <---- SwitchingLogic
 //
-// The framework owns the simulator, fabrics and the three logic partitions,
-// wires their callbacks, runs the experiment and aggregates a RunReport.
+// The framework owns the fabrics and the three logic partitions, wires
+// their callbacks and aggregates a RunReport.  It rides a simulator it does
+// not own: topo::FatTree builds every framework (a single switch is a
+// 1-rack tree) and is the one driver of a run.
 // The scheduling algorithm, demand estimator, circuit scheduler and timing
 // model are pluggable — the "users implement novel design in the scheduling
 // logic module" of §3.
@@ -40,12 +42,11 @@ namespace xdrs::core {
 
 class HybridSwitchFramework {
  public:
-  explicit HybridSwitchFramework(FrameworkConfig cfg);
-
-  /// Shares an external simulator (fat-tree mode: every ToR switch of a
-  /// topology rides one event chain).  `shared` must outlive the framework;
-  /// run() is then orchestrated by the topology through start_run() /
-  /// begin_measurement() / finalize_run() instead of being called here.
+  /// Rides `shared`, which must outlive the framework: every ToR switch of
+  /// a topology shares one event chain, and the topology drives the run
+  /// through start_run() / begin_measurement() / finalize_run().  Throws
+  /// std::invalid_argument on fewer than 2 ports, or on a kSlotted slot too
+  /// short to carry one MTU before its window closes.
   HybridSwitchFramework(sim::Simulator& shared, FrameworkConfig cfg);
 
   HybridSwitchFramework(const HybridSwitchFramework&) = delete;
@@ -64,7 +65,7 @@ class HybridSwitchFramework {
   void set_policies(const PolicyStack& stack);
 
   /// set_policies overload for the spec-string grammar, e.g.
-  /// `set_policies("islip:4/instant/hw:500MHz")`.
+  /// `set_policies("islip:4/instantaneous/hardware:500MHz")`.
   void set_policies(std::string_view stack_spec) { set_policies(PolicyStack::parse(stack_spec)); }
 
   /// Installs the default stack (PolicyStack{}): iSLIP(2) for kSlotted or
@@ -81,7 +82,7 @@ class HybridSwitchFramework {
   /// state), so placement is deterministic by construction.
   using IngressTransform = ProcessingLogic::Rewrite;
 
-  /// Takes ownership; the generator starts when run() is called.  The
+  /// Takes ownership; the generator starts when the run does.  The
   /// optional transform rewrites this generator's packets at injection time
   /// (empty = inject as emitted, the single-switch path).
   void add_generator(std::unique_ptr<traffic::TrafficGenerator> g,
@@ -103,26 +104,18 @@ class HybridSwitchFramework {
   using UplinkHook = std::function<void(const net::Packet&, control::FabricPath)>;
   void set_uplink_hook(net::PortId first_uplink, UplinkHook hook);
 
-  // ---- execution ----------------------------------------------------------
-  /// Runs warmup (unmeasured) then `duration` (measured); returns the
-  /// measured-window report.  One-shot: a framework instance runs once.
-  /// Exactly start_run() + run_until(warmup) + begin_measurement() +
-  /// run_until(horizon) + finalize_run(), so single- and multi-switch runs
-  /// share one code path.
-  RunReport run(sim::Time duration, sim::Time warmup = sim::Time::zero());
-
-  // ---- phased execution (topology drivers) --------------------------------
-  // A topology owning several frameworks on one shared simulator drives the
-  // phases itself: start_run() on every switch, advance the shared clock to
-  // the warmup boundary, begin_measurement() on every switch, advance to
-  // the horizon, finalize_run() on every switch.  run() is these phases
-  // over the framework's own simulator.
+  // ---- phased execution (driven by topo::FatTree::run) -------------------
+  // The topology drives the phases on its shared simulator: start_run() on
+  // every switch, advance the clock to the warmup boundary,
+  // begin_measurement() on every switch, advance to the horizon,
+  // finalize_run() on every switch.
   /// Starts scheduling and the generators; events run until `warmup +
-  /// duration` (the horizon).  One-shot, like run().
+  /// duration` (the horizon).  One-shot: a framework instance runs once.
   void start_run(sim::Time duration, sim::Time warmup = sim::Time::zero());
   /// Snapshots baselines and opens the measured window.  Call with the
-  /// simulator stopped just short of the warmup boundary (run() stops 1 ps
-  /// early so boundary-stamped injections fall inside the window).
+  /// simulator stopped just short of the warmup boundary (FatTree::run()
+  /// stops 1 ps early so boundary-stamped injections fall inside the
+  /// window).
   void begin_measurement();
   /// Assembles and returns the measured-window report.  Call after the
   /// simulator reached the horizon.
@@ -153,18 +146,12 @@ class HybridSwitchFramework {
   [[nodiscard]] const FrameworkConfig& config() const noexcept { return cfg_; }
 
  private:
-  HybridSwitchFramework(FrameworkConfig cfg, std::unique_ptr<sim::Simulator> owned,
-                        sim::Simulator* shared);
-
   void wire();
   /// A fabric delivery at time `at` (now, or earlier for an OCS delivery
   /// settled late).
   void on_deliver(const net::Packet& p, control::FabricPath via, sim::Time at);
 
   FrameworkConfig cfg_;
-  /// Owned in single-switch mode, null when sharing a topology simulator;
-  /// sim_ is the one reference every component uses either way.
-  std::unique_ptr<sim::Simulator> owned_sim_;
   sim::Simulator& sim_;
   sim::TraceRecorder trace_;
   net::Classifier classifier_;

@@ -3,7 +3,7 @@
 // estimator and timing model.  It replaces the four individual framework
 // setters: a framework is configured with one stack
 //
-//   framework.set_policies(core::PolicyStack::parse("islip:2/instant/hw"));
+//   framework.set_policies(core::PolicyStack::parse("islip:2/instantaneous/hardware"));
 //
 // and sweep artifacts (ScenarioSpec, RunReport) serialize the stack so every
 // recorded point names exactly what scheduled it.

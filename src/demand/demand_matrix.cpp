@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <stdexcept>
 
 namespace xdrs::demand {
@@ -172,21 +171,6 @@ void DemandMatrix::for_each_nonzero(
 bool DemandMatrix::operator==(const DemandMatrix& other) const noexcept {
   return inputs_ == other.inputs_ && outputs_ == other.outputs_ && total_ == other.total_ &&
          row_bits_ == other.row_bits_ && v_ == other.v_;
-}
-
-std::string DemandMatrix::to_string() const {
-  std::string out;
-  out.reserve(static_cast<std::size_t>(inputs_) * outputs_ * 8);
-  for (std::uint32_t i = 0; i < inputs_; ++i) {
-    for (std::uint32_t j = 0; j < outputs_; ++j) {
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%8lld",
-                    static_cast<long long>(v_[static_cast<std::size_t>(i) * outputs_ + j]));
-      out += buf;
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace xdrs::demand

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -123,9 +122,6 @@ class DemandMatrix {
   /// the support bitmaps (word compares), then the dense values — so the
   /// warm-rematch equality probe usually answers without touching the grid.
   [[nodiscard]] bool operator==(const DemandMatrix& other) const noexcept;
-
-  /// Multi-line human-readable rendering for debugging and examples.
-  [[nodiscard]] std::string to_string() const;
 
  private:
   [[nodiscard]] std::size_t idx(net::PortId i, net::PortId j) const;

@@ -113,46 +113,4 @@ void WindowedRateEstimator::snapshot(sim::Time now, DemandMatrix& out) {
   }
 }
 
-// ------------------------------------------------------------------ Hysteresis
-
-HysteresisEstimator::HysteresisEstimator(std::unique_ptr<DemandEstimator> inner,
-                                         std::int64_t on_threshold, std::int64_t off_threshold)
-    : inner_{std::move(inner)}, on_threshold_{on_threshold}, off_threshold_{off_threshold} {
-  if (!inner_) throw std::invalid_argument{"HysteresisEstimator: null inner estimator"};
-  if (off_threshold_ > on_threshold_) {
-    throw std::invalid_argument{"HysteresisEstimator: off threshold must not exceed on threshold"};
-  }
-}
-
-void HysteresisEstimator::on_arrival(net::PortId src, net::PortId dst, std::int64_t bytes,
-                                     sim::Time at) {
-  inner_->on_arrival(src, dst, bytes, at);
-}
-
-void HysteresisEstimator::on_departure(net::PortId src, net::PortId dst, std::int64_t bytes,
-                                       sim::Time at) {
-  inner_->on_departure(src, dst, bytes, at);
-}
-
-void HysteresisEstimator::snapshot(sim::Time now, DemandMatrix& out) {
-  inner_->snapshot(now, scratch_);
-  const std::size_t pairs =
-      static_cast<std::size_t>(scratch_.inputs()) * scratch_.outputs();
-  if (active_.size() != pairs) active_.assign(pairs, false);
-
-  out.resize(scratch_.inputs(), scratch_.outputs());
-  std::size_t k = 0;
-  for (std::uint32_t i = 0; i < scratch_.inputs(); ++i) {
-    for (std::uint32_t j = 0; j < scratch_.outputs(); ++j, ++k) {
-      const std::int64_t d = scratch_.at_unchecked(i, j);
-      if (active_[k]) {
-        if (d < off_threshold_) active_[k] = false;
-      } else {
-        if (d >= on_threshold_) active_[k] = true;
-      }
-      out.set(i, j, active_[k] ? d : 0);
-    }
-  }
-}
-
 }  // namespace xdrs::demand

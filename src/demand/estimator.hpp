@@ -12,13 +12,10 @@
 //     c-Through approach.
 //   * Windowed rate — arrivals over a sliding window; the Helios approach,
 //     estimating offered rate rather than backlog.
-// A hysteresis wrapper suppresses demand flapping that would thrash OCS
-// circuits.
 #ifndef XDRS_DEMAND_ESTIMATOR_HPP
 #define XDRS_DEMAND_ESTIMATOR_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
@@ -114,28 +111,6 @@ class WindowedRateEstimator final : public DemandEstimator {
   std::uint32_t bucket_count_;
   std::vector<std::int64_t> buckets_;  // [pair][bucket]
   std::int64_t current_epoch_{0};      // absolute bucket number of ring head
-};
-
-/// Wraps another estimator and applies on/off hysteresis per element:
-/// demand becomes visible only after exceeding `on_threshold` and remains
-/// visible until it falls below `off_threshold`.  Prevents borderline
-/// demand from thrashing circuit assignments.
-class HysteresisEstimator final : public DemandEstimator {
- public:
-  HysteresisEstimator(std::unique_ptr<DemandEstimator> inner, std::int64_t on_threshold,
-                      std::int64_t off_threshold);
-
-  void on_arrival(net::PortId src, net::PortId dst, std::int64_t bytes, sim::Time at) override;
-  void on_departure(net::PortId src, net::PortId dst, std::int64_t bytes, sim::Time at) override;
-  void snapshot(sim::Time now, DemandMatrix& out) override;
-  [[nodiscard]] const char* name() const noexcept override { return "hysteresis"; }
-
- private:
-  std::unique_ptr<DemandEstimator> inner_;
-  std::int64_t on_threshold_;
-  std::int64_t off_threshold_;
-  std::vector<bool> active_;
-  DemandMatrix scratch_;
 };
 
 }  // namespace xdrs::demand

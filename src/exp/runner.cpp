@@ -425,24 +425,6 @@ std::vector<Mutator> axis_timing(const std::vector<std::string>& models) {
   return axis;
 }
 
-std::vector<Mutator> axis_seed(const std::vector<std::uint64_t>& seeds) {
-  std::vector<Mutator> axis;
-  axis.reserve(seeds.size());
-  for (const std::uint64_t v : seeds) {
-    axis.push_back([v](ScenarioSpec& s) { s.with_seed(v); });
-  }
-  return axis;
-}
-
-std::vector<Mutator> axis_racks(const std::vector<std::uint32_t>& values) {
-  std::vector<Mutator> axis;
-  axis.reserve(values.size());
-  for (const std::uint32_t v : values) {
-    axis.push_back([v](ScenarioSpec& s) { s.with_racks(v); });
-  }
-  return axis;
-}
-
 std::vector<Mutator> axis_oversubscription(const std::vector<double>& values) {
   std::vector<Mutator> axis;
   axis.reserve(values.size());

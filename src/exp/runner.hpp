@@ -166,8 +166,6 @@ using Mutator = std::function<void(ScenarioSpec&)>;
 [[nodiscard]] std::vector<Mutator> axis_circuit(const std::vector<std::string>& specs);
 [[nodiscard]] std::vector<Mutator> axis_estimator(const std::vector<std::string>& specs);
 [[nodiscard]] std::vector<Mutator> axis_timing(const std::vector<std::string>& models);
-[[nodiscard]] std::vector<Mutator> axis_seed(const std::vector<std::uint64_t>& seeds);
-[[nodiscard]] std::vector<Mutator> axis_racks(const std::vector<std::uint32_t>& values);
 [[nodiscard]] std::vector<Mutator> axis_oversubscription(const std::vector<double>& values);
 [[nodiscard]] std::vector<Mutator> axis_locality(const std::vector<double>& values);
 

@@ -5,7 +5,7 @@
 //   * matchers           "islip:4", "pim:2", "maxweight", ...
 //   * circuit schedulers "solstice", "solstice:1.5", "cthrough", "tms:4", ...
 //   * demand estimators  "instantaneous", "ewma:0.2", "windowed", ...
-//   * timing models      "hardware", "hw:500MHz", "software", "ideal", ...
+//   * timing models      "hardware", "hardware:500MHz", "software", "ideal", ...
 //
 // A spec string is "name[:arg]"; the argument's meaning belongs to the
 // factory (iteration count, EWMA alpha, clock frequency, slot budget).

@@ -188,8 +188,11 @@ core::RunReport FatTree::run(sim::Time duration, sim::Time warmup) {
 
   for (auto& fw : racks_) fw->start_run(duration, warmup);
   const sim::Time horizon = warmup + duration;
-  // Same 1 ps early stop as HybridSwitchFramework::run(): boundary-stamped
-  // injections must land inside the measured window.
+  // Stop 1 ps short of the boundary: run_until() executes events stamped
+  // exactly at its horizon, and packets injected at t == warmup must fall
+  // inside the measured window (counted offered), not at the tail of the
+  // unmeasured warmup — otherwise synchronized sources (incast rounds, CBR
+  // phases) deliver packets that were never offered.
   if (warmup > sim::Time::zero()) sim_.run_until(warmup - sim::Time::picoseconds(1));
   for (auto& fw : racks_) fw->begin_measurement();
   base_core_bytes_ = 0;

@@ -21,11 +21,10 @@
 // construction — identical across thread counts and shard splits (tested).
 //
 // A single-rack FatTree is the single switch: exactly one framework with no
-// uplinks, no transforms and no core tier, run through the same phased
-// start_run/begin_measurement/finalize_run path HybridSwitchFramework::run()
-// uses — so its report is byte-identical to a hand-built framework's run
-// (property-tested over every scenario).  exp::materialize() builds every
-// experiment point this way.
+// uplinks, no transforms and no core tier.  FatTree::run() is the one run
+// driver — examples, tests and exp::materialize() all build a tree, install
+// policies and workloads on rack(0..N-1) and call it, so warm-up
+// sequencing lives in one place.
 #ifndef XDRS_TOPO_FAT_TREE_HPP
 #define XDRS_TOPO_FAT_TREE_HPP
 
@@ -145,7 +144,7 @@ class FatTree {
   /// Phased execution across every rack on the shared clock; returns the
   /// fleet report: per-rack reports merged, duration normalised back to
   /// one window, core-tier bytes/drops/occupancy/utilisation added.
-  /// One-shot, like HybridSwitchFramework::run().
+  /// One-shot.  Throws std::invalid_argument on a non-positive duration.
   [[nodiscard]] core::RunReport run(sim::Time duration, sim::Time warmup = sim::Time::zero());
 
   // ---- core-tier accounting (tests) ---------------------------------------

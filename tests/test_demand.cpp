@@ -1,7 +1,6 @@
 // Tests for the demand matrix and the demand estimators.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
@@ -301,41 +300,6 @@ TEST(WindowedRateEstimator, IgnoresDepartures) {
 TEST(WindowedRateEstimator, ValidatesWindow) {
   EXPECT_THROW(WindowedRateEstimator(2, 2, Time::zero(), 4), std::invalid_argument);
   EXPECT_THROW(WindowedRateEstimator(2, 2, 1_us, 0), std::invalid_argument);
-}
-
-TEST(HysteresisEstimator, SuppressesBelowOnThreshold) {
-  auto inner = std::make_unique<InstantaneousEstimator>(2, 2);
-  auto* raw = inner.get();
-  HysteresisEstimator h{std::move(inner), 100, 50};
-  raw->on_arrival(0, 1, 80, 1_us);
-  DemandMatrix m;
-  h.snapshot(1_us, m);
-  EXPECT_EQ(m.at(0, 1), 0);  // below the on threshold
-  raw->on_arrival(0, 1, 40, 2_us);
-  h.snapshot(2_us, m);
-  EXPECT_EQ(m.at(0, 1), 120);  // crossed it
-}
-
-TEST(HysteresisEstimator, StaysOnUntilOffThreshold) {
-  auto inner = std::make_unique<InstantaneousEstimator>(2, 2);
-  auto* raw = inner.get();
-  HysteresisEstimator h{std::move(inner), 100, 50};
-  raw->on_arrival(0, 1, 150, 1_us);
-  DemandMatrix m;
-  h.snapshot(1_us, m);
-  EXPECT_EQ(m.at(0, 1), 150);
-  raw->on_departure(0, 1, 80, 2_us);  // backlog 70: between thresholds
-  h.snapshot(2_us, m);
-  EXPECT_EQ(m.at(0, 1), 70);  // hysteresis keeps it visible
-  raw->on_departure(0, 1, 30, 3_us);  // backlog 40 < off threshold
-  h.snapshot(3_us, m);
-  EXPECT_EQ(m.at(0, 1), 0);
-}
-
-TEST(HysteresisEstimator, ValidatesArguments) {
-  EXPECT_THROW(HysteresisEstimator(nullptr, 10, 5), std::invalid_argument);
-  EXPECT_THROW(HysteresisEstimator(std::make_unique<InstantaneousEstimator>(2, 2), 10, 20),
-               std::invalid_argument);
 }
 
 TEST(Estimators, NamesAreDistinct) {

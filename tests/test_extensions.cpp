@@ -9,6 +9,7 @@
 #include "core/framework.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "schedulers/wavefront.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 #include "traffic/generators.hpp"
 
@@ -156,14 +157,15 @@ TEST(EpsPriority, FrameworkReducesVoipTailUnderLoad) {
     c.ocs_reconfig = 1_us;
     c.eps_rate = sim::DataRate::gbps(1);  // congested electrical path
     c.eps_strict_priority = prio;
-    core::HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    core::HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     topo::attach_voip(fw, 2, 20_us, 200);
     topo::WorkloadSpec bg;
     bg.load = 0.2;
     bg.seed = 9;
     topo::attach_workload(fw, bg);
-    return fw.run(5_ms, 1_ms);
+    return ft.run(5_ms, 1_ms);
   };
   const core::RunReport without = run_with(false);
   const core::RunReport with = run_with(true);
@@ -224,7 +226,8 @@ TEST(Incast, DrivesManyToOneContention) {
   c.discipline = core::SchedulingDiscipline::kHybridEpoch;
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
 
   traffic::IncastGenerator::Config ic;
@@ -235,7 +238,7 @@ TEST(Incast, DrivesManyToOneContention) {
   ic.line_rate = c.link_rate;
   fw.add_generator(std::make_unique<traffic::IncastGenerator>(ic));
 
-  const core::RunReport r = fw.run(6_ms, 1_ms);
+  const core::RunReport r = ft.run(6_ms, 1_ms);
   EXPECT_GT(r.offered_packets, 0u);
   // Many-to-one is serviceable: the aggregator link is the bottleneck but
   // 7 x 50 KB per 1 ms fits 10 Gbps; the scheduler must time-share it.
@@ -295,12 +298,13 @@ TEST(OcsFailures, FrameworkSurvivesFlakyOptics) {
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
   c.ocs_failure_prob = 0.3;  // one in three retunes fails
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.3;
   topo::attach_workload(fw, spec);
-  const core::RunReport r = fw.run(5_ms, 1_ms);
+  const core::RunReport r = ft.run(5_ms, 1_ms);
   EXPECT_GT(fw.ocs().stats().retune_failures, 0u);
   // Residual EPS grants keep traffic flowing despite flaky circuits.
   EXPECT_GT(r.delivery_ratio(), 0.8) << r.summary();
@@ -345,13 +349,14 @@ TEST(ClassAccounting, SplitsDeliveredBytesByClass) {
   c.discipline = core::SchedulingDiscipline::kHybridEpoch;
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::attach_voip(fw, 2, 20_us, 200);  // latency-sensitive
   topo::WorkloadSpec spec;               // best-effort DC mix
   spec.load = 0.2;
   topo::attach_workload(fw, spec);
-  const core::RunReport r = fw.run(4_ms, 1_ms);
+  const core::RunReport r = ft.run(4_ms, 1_ms);
 
   const auto ls =
       r.class_bytes[static_cast<std::size_t>(net::TrafficClass::kLatencySensitive)];

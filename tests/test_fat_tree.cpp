@@ -134,21 +134,36 @@ TEST(TopologySpecTest, RackCountFitsTheAddressOctet) {
 
 // ---- single-rack degeneration ----------------------------------------------
 
-/// The single switch built by hand, the way a library user drives one:
-/// an owning framework, the policy stack, the workloads and the VOIP
-/// overlay, then run().  The reference every 1-rack tree must reproduce.
+/// The single switch assembled by hand, the way a library user drives one:
+/// a 1-rack tree, then the policy stack, the workloads and the VOIP
+/// overlay on rack(0), then run().  The reference materialize() must
+/// reproduce for every 1-rack spec.
 core::RunReport hand_built_run(const ScenarioSpec& spec) {
-  core::HybridSwitchFramework fw{spec.config};
+  topo::FatTree ft{{}, spec.config};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(spec.policies);
   for (const auto& w : spec.workloads) topo::attach_workload(fw, w);
   if (spec.voip_pairs > 0) {
     topo::attach_voip(fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
                       spec.config.seed + 99);
   }
-  return fw.run(spec.duration, spec.warmup);
+  return ft.run(spec.duration, spec.warmup);
 }
 
-TEST(FatTreeRun, SingleRackReproducesTheSingleSwitchRunByteForByte) {
+TEST(FatTreeRun, RunIsOneShot) {
+  topo::FatTree ft{{}, core::FrameworkConfig{}};
+  ft.rack(0).use_default_policies();
+  (void)ft.run(100_us);
+  EXPECT_THROW((void)ft.run(100_us), std::logic_error);
+}
+
+TEST(FatTreeRun, RejectsNonPositiveDuration) {
+  topo::FatTree ft{{}, core::FrameworkConfig{}};
+  ft.rack(0).use_default_policies();
+  EXPECT_THROW((void)ft.run(sim::Time::zero()), std::invalid_argument);
+}
+
+TEST(FatTreeRun, MaterializeBuildsTheSingleRackTheSpecDescribes) {
   // Trace and empirical scenarios read files relative to the repository
   // root, and tests run from the build tree: point them at small
   // per-process temp files instead.

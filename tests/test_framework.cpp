@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/framework.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 #include "traffic/generators.hpp"
 #include "traffic/patterns.hpp"
@@ -39,57 +40,65 @@ FrameworkConfig slotted(std::uint32_t ports = 4) {
 TEST(Framework, ValidatesConfig) {
   FrameworkConfig c = fast_hybrid();
   c.ports = 1;
-  EXPECT_THROW(HybridSwitchFramework{c}, std::invalid_argument);
+  EXPECT_THROW((topo::FatTree{{}, c}), std::invalid_argument);
 }
 
-TEST(Framework, RunIsOneShot) {
-  HybridSwitchFramework fw{fast_hybrid()};
-  fw.use_default_policies();
-  (void)fw.run(100_us);
-  EXPECT_THROW((void)fw.run(100_us), std::logic_error);
-}
-
-TEST(Framework, RejectsNonPositiveDuration) {
-  HybridSwitchFramework fw{fast_hybrid()};
-  fw.use_default_policies();
-  EXPECT_THROW((void)fw.run(Time::zero()), std::invalid_argument);
+TEST(Framework, RejectsASlotThatCannotCarryOneMtu) {
+  // One MTU takes 1.216 us on a 10 Gbps wire, and each slotted window
+  // closes ocs_path_latency() before its slot ends: a 1,250 ns slot
+  // delivers nothing in either placement.
+  for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
+    FrameworkConfig c = slotted();
+    c.placement = placement;
+    c.slot_time = 1'250_ns;
+    EXPECT_THROW((topo::FatTree{{}, c}), std::invalid_argument) << to_string(placement);
+    c.slot_time = 12'500_ns;
+    EXPECT_NO_THROW((topo::FatTree{{}, c})) << to_string(placement);
+  }
+  // Only slotted runs read slot_time.
+  FrameworkConfig hybrid = fast_hybrid();
+  hybrid.slot_time = 1'250_ns;
+  EXPECT_NO_THROW((topo::FatTree{{}, hybrid}));
 }
 
 TEST(Framework, HybridDeliversModerateUniformLoad) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.kind = topo::WorkloadSpec::Kind::kPoissonUniform;
   spec.load = 0.3;
   topo::attach_workload(fw, spec);
 
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_GT(r.offered_packets, 100u);
   EXPECT_GT(r.delivery_ratio(), 0.90) << r.summary();
   EXPECT_GT(r.scheduler_decisions, 10u);
 }
 
 TEST(Framework, SlottedIslipDeliversUniformLoad) {
-  HybridSwitchFramework fw{slotted()};
+  topo::FatTree ft{{}, slotted()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();  // islip:2 for slotted
   topo::WorkloadSpec spec;
   spec.kind = topo::WorkloadSpec::Kind::kPoissonUniform;
   spec.load = 0.4;
   topo::attach_workload(fw, spec);
 
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_GT(r.delivery_ratio(), 0.90) << r.summary();
   // Slotted mode serves everything over the fabric circuits.
   EXPECT_GT(r.ocs_bytes, 0);
 }
 
 TEST(Framework, ConservationOfPackets) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.4;
   topo::attach_workload(fw, spec);
-  const RunReport r = fw.run(3_ms, 500_us);
+  const RunReport r = ft.run(3_ms, 500_us);
   // Delivered never exceeds offered; the difference is queued or dropped.
   EXPECT_LE(r.delivered_bytes, r.offered_bytes);
   EXPECT_LE(r.delivered_packets, r.offered_packets);
@@ -104,13 +113,14 @@ TEST(Framework, SlottedWindowsEndBeforeTheNextRetuneCutsAPacket) {
     FrameworkConfig c = slotted(8);
     c.placement = placement;
     c.slot_time = 12'500_ns;
-    HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.set_policies(PolicyStack{}.with_matcher("islip:1"));
     topo::WorkloadSpec spec;
     spec.kind = topo::WorkloadSpec::Kind::kPermutation;
     spec.load = 0.95;
     topo::attach_workload(fw, spec);
-    const RunReport r = fw.run(1_ms, 200_us);
+    const RunReport r = ft.run(1_ms, 200_us);
     EXPECT_GT(r.reconfigurations, 50u);
     EXPECT_GT(r.ocs_bytes, 0);
     EXPECT_EQ(r.reconfig_cuts, 0u) << to_string(placement) << ": " << r.summary();
@@ -125,13 +135,14 @@ TEST(Framework, HybridRetunesWaitForTheRunningPlansWindows) {
   for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
     FrameworkConfig c = fast_hybrid(8);
     c.placement = placement;
-    HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.set_policies(PolicyStack{});
     topo::WorkloadSpec spec;
     spec.kind = topo::WorkloadSpec::Kind::kPermutation;
     spec.load = 0.95;
     topo::attach_workload(fw, spec);
-    const RunReport r = fw.run(10_ms, 1_ms);
+    const RunReport r = ft.run(10_ms, 1_ms);
     EXPECT_GT(r.ocs_bytes, 0);
     EXPECT_GT(r.delivery_ratio(), 0.99) << to_string(placement) << ": " << r.summary();
     EXPECT_EQ(r.reconfig_cuts, 0u) << to_string(placement) << ": " << r.summary();
@@ -141,7 +152,8 @@ TEST(Framework, HybridRetunesWaitForTheRunningPlansWindows) {
 
 TEST(Framework, OcsCarriesElephantsEpsCarriesResidual) {
   FrameworkConfig c = fast_hybrid();
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(PolicyStack{});
 
   topo::WorkloadSpec spec;
@@ -150,16 +162,17 @@ TEST(Framework, OcsCarriesElephantsEpsCarriesResidual) {
   spec.mean_off = 150_us;
   topo::attach_workload(fw, spec);
 
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_GT(r.ocs_bytes, 0) << r.summary();
   EXPECT_GT(r.delivery_ratio(), 0.5) << r.summary();
 }
 
 TEST(Framework, LatencySensitiveBypassInTorMode) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::attach_voip(fw, 2, 20_us, 200);
-  const RunReport r = fw.run(2_ms, 200_us);
+  const RunReport r = ft.run(2_ms, 200_us);
   EXPECT_GT(r.latency_sensitive.count(), 50u);
   // Bypass path: latency ~ link + EPS serialisation + EPS latency, well
   // under 10 us at these rates.
@@ -177,7 +190,8 @@ TEST(Framework, HardwareSchedulingBeatsSoftwareOnVoipLatency) {
     c.placement = hardware ? BufferPlacement::kToRSwitch : BufferPlacement::kHost;
     c.epoch = hardware ? Time::microseconds(100) : Time::milliseconds(1);
     c.min_circuit_hold = hardware ? 10_us : 100_us;
-    HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.set_policies(PolicyStack{}.with_timing(hardware ? "hardware" : "software"));
     topo::attach_voip(fw, 4, 20_us, 200);
     if (bursty) {
@@ -188,7 +202,7 @@ TEST(Framework, HardwareSchedulingBeatsSoftwareOnVoipLatency) {
       spec.seed = 29;
       topo::attach_workload(fw, spec);
     }
-    return fw.run(30_ms, 5_ms);
+    return ft.run(30_ms, 5_ms);
   };
 
   const RunReport hw = run_with(true, false);
@@ -230,12 +244,13 @@ TEST(Framework, HostModeBuffersAtHostsTorModeBuffersInSwitch) {
     FrameworkConfig c = fast_hybrid();
     c.placement = placement;
     c.epoch = 500_us;
-    HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     topo::WorkloadSpec spec;
     spec.load = 0.5;
     topo::attach_workload(fw, spec);
-    return fw.run(3_ms, 500_us);
+    return ft.run(3_ms, 500_us);
   };
   const RunReport host = run_with(BufferPlacement::kHost);
   const RunReport tor = run_with(BufferPlacement::kToRSwitch);
@@ -244,12 +259,13 @@ TEST(Framework, HostModeBuffersAtHostsTorModeBuffersInSwitch) {
 }
 
 TEST(Framework, ReconfigurationsAreCountedAndDutyCycleSane) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.5;
   topo::attach_workload(fw, spec);
-  const RunReport r = fw.run(3_ms, 500_us);
+  const RunReport r = ft.run(3_ms, 500_us);
   EXPECT_GT(r.reconfigurations, 0u);
   EXPECT_GE(r.ocs_duty_cycle, 0.0);
   EXPECT_LE(r.ocs_duty_cycle, 1.0);
@@ -257,13 +273,14 @@ TEST(Framework, ReconfigurationsAreCountedAndDutyCycleSane) {
 
 TEST(Framework, DeterministicAcrossRuns) {
   const auto run_once = [] {
-    HybridSwitchFramework fw{fast_hybrid()};
+    topo::FatTree ft{{}, fast_hybrid()};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     topo::WorkloadSpec spec;
     spec.load = 0.4;
     spec.seed = 31337;
     topo::attach_workload(fw, spec);
-    return fw.run(2_ms, 500_us);
+    return ft.run(2_ms, 500_us);
   };
   const RunReport a = run_once();
   const RunReport b = run_once();
@@ -280,7 +297,8 @@ TEST(Framework, TwoFlowGeneratorsOnOnePortCompleteTheirFlowsApart) {
   // so the pair completes about twice the flows one generator does; keyed
   // on (port, flow id) alone, each twin pair would merge into one flow.
   const auto completions = [](std::uint32_t generators) {
-    HybridSwitchFramework fw{fast_hybrid(8)};
+    topo::FatTree ft{{}, fast_hybrid(8)};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     for (std::uint32_t g = 0; g < generators; ++g) {
       traffic::FlowGenerator::Config cfg;
@@ -293,7 +311,7 @@ TEST(Framework, TwoFlowGeneratorsOnOnePortCompleteTheirFlowsApart) {
       cfg.seed = 5;
       fw.add_generator(std::make_unique<traffic::FlowGenerator>(cfg));
     }
-    const RunReport r = fw.run(4_ms);
+    const RunReport r = ft.run(4_ms);
     return r.fct_other.count() + r.fct_deadline.count();
   };
   const std::uint64_t one = completions(1);
@@ -302,14 +320,15 @@ TEST(Framework, TwoFlowGeneratorsOnOnePortCompleteTheirFlowsApart) {
 }
 
 TEST(Framework, DirectInjectionWorks) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   net::Packet p;
   p.src = 0;
   p.dst = 1;
   p.size_bytes = 1500;
   fw.simulator().schedule(10_us, [&fw, p] { fw.inject(p); });
-  const RunReport r = fw.run(2_ms);
+  const RunReport r = ft.run(2_ms);
   EXPECT_EQ(r.offered_packets, 1u);
   EXPECT_EQ(r.delivered_packets, 1u);
 }
@@ -321,7 +340,8 @@ TEST(Framework, IngressTransformRewritesTheSwitchCopyBeforeAnythingReadsIt) {
   for (const BufferPlacement placement : {BufferPlacement::kToRSwitch, BufferPlacement::kHost}) {
     FrameworkConfig cfg = fast_hybrid();
     cfg.placement = placement;
-    HybridSwitchFramework fw{cfg};
+    topo::FatTree ft{{}, cfg};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     fw.trace().enable();
     net::Packet p;
@@ -330,7 +350,7 @@ TEST(Framework, IngressTransformRewritesTheSwitchCopyBeforeAnythingReadsIt) {
     p.size_bytes = 1500;
     const HybridSwitchFramework::IngressTransform to_port_2 = [](net::Packet& q) { q.dst = 2; };
     fw.simulator().schedule(10_us, [&fw, &p, &to_port_2] { fw.inject(p, &to_port_2); });
-    const RunReport r = fw.run(2_ms);
+    const RunReport r = ft.run(2_ms);
     EXPECT_EQ(p.dst, 1u);
     EXPECT_EQ(r.delivered_packets, 1u);
     using sim::TraceCategory;
@@ -344,13 +364,14 @@ TEST(Framework, IngressTransformRewritesTheSwitchCopyBeforeAnythingReadsIt) {
 }
 
 TEST(Framework, TraceCapturesPipelineWhenEnabled) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   fw.trace().enable();
   topo::WorkloadSpec spec;
   spec.load = 0.3;
   topo::attach_workload(fw, spec);
-  (void)fw.run(500_us);
+  (void)ft.run(500_us);
   using sim::TraceCategory;
   EXPECT_GT(fw.trace().count(TraceCategory::kPacketArrival), 0u);
   EXPECT_GT(fw.trace().count(TraceCategory::kEnqueue), 0u);
@@ -368,12 +389,13 @@ TEST(Framework, ThroughputFractionComputation) {
 }
 
 TEST(Framework, SummaryStringMentionsKeyCounters) {
-  HybridSwitchFramework fw{fast_hybrid()};
+  topo::FatTree ft{{}, fast_hybrid()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.2;
   topo::attach_workload(fw, spec);
-  const RunReport r = fw.run(1_ms);
+  const RunReport r = ft.run(1_ms);
   const std::string s = r.summary();
   EXPECT_NE(s.find("delivered"), std::string::npos);
   EXPECT_NE(s.find("latency"), std::string::npos);

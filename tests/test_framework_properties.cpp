@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/framework.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace xdrs::core {
@@ -32,7 +33,8 @@ TEST_P(SlottedSweep, DeliversAndConserves) {
   c.slot_time = 5_us;
   c.ocs_reconfig = 50_ns;
   c.seed = 5;  // feeds randomized matchers (pim) via the policy context
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(PolicyStack{}.with_matcher(param.matcher));
 
   topo::WorkloadSpec spec;
@@ -41,7 +43,7 @@ TEST_P(SlottedSweep, DeliversAndConserves) {
   spec.seed = 17;
   topo::attach_workload(fw, spec);
 
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_LE(r.delivered_bytes, r.offered_bytes);
   EXPECT_GT(r.offered_packets, 0u);
   // Low-to-moderate uniform load: every demand-aware matcher must deliver
@@ -85,7 +87,8 @@ TEST_P(HybridSweep, DeliversAndConserves) {
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
   c.min_circuit_hold = 10_us;
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(PolicyStack{}.with_circuit(param.scheduler));
 
   topo::WorkloadSpec spec;
@@ -99,7 +102,7 @@ TEST_P(HybridSweep, DeliversAndConserves) {
   spec.seed = 23;
   topo::attach_workload(fw, spec);
 
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_LE(r.delivered_bytes, r.offered_bytes);
   EXPECT_GT(r.offered_packets, 0u);
   EXPECT_GT(r.delivery_ratio(), 0.70)
@@ -135,12 +138,13 @@ TEST_P(PlacementSweep, BothPlacementsDeliverUnderModestLoad) {
   c.ocs_reconfig = 1_us;
   c.min_circuit_hold = 20_us;
   c.placement = GetParam();
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.3;
   topo::attach_workload(fw, spec);
-  const RunReport r = fw.run(4_ms, 1_ms);
+  const RunReport r = ft.run(4_ms, 1_ms);
   EXPECT_GT(r.delivery_ratio(), 0.60) << to_string(GetParam()) << "\n" << r.summary();
 }
 
@@ -164,7 +168,8 @@ TEST_P(ReconfigSweep, SlowerSwitchingNeverImprovesDelivery) {
     c.epoch = 200_us;
     c.ocs_reconfig = dark;
     c.min_circuit_hold = 20_us;
-    HybridSwitchFramework fw{c};
+    topo::FatTree ft{{}, c};
+    HybridSwitchFramework& fw = ft.rack(0);
     fw.use_default_policies();
     topo::WorkloadSpec spec;
     spec.kind = topo::WorkloadSpec::Kind::kOnOffBursts;
@@ -172,7 +177,7 @@ TEST_P(ReconfigSweep, SlowerSwitchingNeverImprovesDelivery) {
     spec.mean_off = 120_us;
     spec.seed = 5;
     topo::attach_workload(fw, spec);
-    return fw.run(4_ms, 1_ms);
+    return ft.run(4_ms, 1_ms);
   };
   const Time dark = Time::nanoseconds(GetParam());
   const RunReport fast = run_with(10_ns);

@@ -248,7 +248,7 @@ TEST(Hungarian, MatchesBruteForceOnSmallMatrices) {
   sim::Rng rng{11};
   for (int round = 0; round < 40; ++round) {
     const auto d = random_demand(5, rng, 0.7);
-    EXPECT_EQ(weight_of(h.compute(d), d), brute_force_max_weight(d)) << d.to_string();
+    EXPECT_EQ(weight_of(h.compute(d), d), brute_force_max_weight(d)) << "round " << round;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "exp/scenario.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace xdrs {
@@ -70,14 +71,15 @@ BufferCheck check_buffering(std::uint32_t ports, sim::DataRate rate, const Opera
   c.epoch = pt.epoch;
   c.min_circuit_hold = pt.epoch / 10;
   c.placement = pt.hardware ? core::BufferPlacement::kToRSwitch : core::BufferPlacement::kHost;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(core::PolicyStack{}.with_timing(pt.hardware ? "hardware" : "software"));
   topo::WorkloadSpec spec;
   spec.kind = topo::WorkloadSpec::Kind::kPoissonUniform;
   spec.load = 0.6;
   spec.seed = 11;
   topo::attach_workload(fw, spec);
-  const core::RunReport r = fw.run(std::max<Time>(20 * pt.epoch, 10_ms), 2 * pt.epoch);
+  const core::RunReport r = ft.run(std::max<Time>(20 * pt.epoch, 10_ms), 2 * pt.epoch);
 
   analysis::BufferingScenario s;
   s.ports = ports;
@@ -241,7 +243,8 @@ core::RunReport run_with_skew(core::BufferPlacement placement, Time skew, Time g
   c.sync.max_skew = skew;
   c.sync.guard_band = guard;
   c.sync.seed = 77;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(core::PolicyStack{}.with_timing("hardware"));
   topo::WorkloadSpec spec;
   spec.kind = topo::WorkloadSpec::Kind::kOnOffBursts;
@@ -249,7 +252,7 @@ core::RunReport run_with_skew(core::BufferPlacement placement, Time skew, Time g
   spec.mean_off = 140_us;
   spec.seed = 61;
   topo::attach_workload(fw, spec);
-  return fw.run(20_ms, 4_ms);
+  return ft.run(20_ms, 4_ms);
 }
 
 // Host-buffered operation "requires tight synchronization between the host
@@ -282,7 +285,8 @@ TEST(PaperClaims, QueuesGrowWhileDarkAndDrainWhenCircuitsReturn) {
   c.epoch = 200_us;
   c.ocs_reconfig = 20_us;
   c.min_circuit_hold = 50_us;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.set_policies(core::PolicyStack{}.with_timing("hardware"));
   fw.trace().enable();
   topo::WorkloadSpec spec;
@@ -301,7 +305,7 @@ TEST(PaperClaims, QueuesGrowWhileDarkAndDrainWhenCircuitsReturn) {
     if (fw.simulator().now() < horizon) fw.simulator().schedule(2_us, sample);
   };
   fw.simulator().schedule(Time::zero(), sample);
-  fw.run(10_ms, 2_ms);
+  (void)ft.run(10_ms, 2_ms);
 
   const auto& samples = occupancy.samples();
   const auto occupancy_at = [&samples](Time at) {

@@ -48,14 +48,14 @@ TEST(PolicySpec, RejectsMalformedArguments) {
   EXPECT_THROW((void)PolicySpec::parse("islip:0").uint_arg(1), std::invalid_argument);
   EXPECT_THROW((void)PolicySpec::parse("islip:4x").uint_arg(1), std::invalid_argument);
   EXPECT_THROW((void)PolicySpec::parse("ewma:x").double_arg(0.5), std::invalid_argument);
-  EXPECT_THROW((void)PolicySpec::parse("hw:fast").mhz_arg(0.0), std::invalid_argument);
+  EXPECT_THROW((void)PolicySpec::parse("hardware:fast").mhz_arg(0.0), std::invalid_argument);
 }
 
 TEST(PolicySpec, ParsesFrequencies) {
-  EXPECT_DOUBLE_EQ(PolicySpec::parse("hw:500MHz").mhz_arg(0.0), 500.0);
-  EXPECT_DOUBLE_EQ(PolicySpec::parse("hw:500").mhz_arg(0.0), 500.0);
-  EXPECT_DOUBLE_EQ(PolicySpec::parse("hw:1.25GHz").mhz_arg(0.0), 1250.0);
-  EXPECT_DOUBLE_EQ(PolicySpec::parse("hw").mhz_arg(156.25), 156.25);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("hardware:500MHz").mhz_arg(0.0), 500.0);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("hardware:500").mhz_arg(0.0), 500.0);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("hardware:1.25GHz").mhz_arg(0.0), 1250.0);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("hardware").mhz_arg(156.25), 156.25);
 }
 
 // ------------------------------------------------------------- error paths
@@ -75,6 +75,15 @@ TEST(PolicyRegistry, UnknownSpecsThrowWithKnownNamesListed) {
   }
 }
 
+TEST(PolicyRegistry, RegistersNoAliasForInstantaneousOrSoftware) {
+  // One name per policy: specs spell the canonical names.
+  auto& reg = PolicyRegistry::instance();
+  EXPECT_TRUE(reg.knows(PolicyKind::kEstimator, "instantaneous"));
+  EXPECT_FALSE(reg.knows(PolicyKind::kEstimator, "instant"));
+  EXPECT_TRUE(reg.knows(PolicyKind::kTiming, "software"));
+  EXPECT_FALSE(reg.knows(PolicyKind::kTiming, "sw"));
+}
+
 TEST(PolicyRegistry, BadIterationSuffixThrows) {
   auto& reg = PolicyRegistry::instance();
   EXPECT_THROW((void)reg.make_matcher("islip:0", ctx4()), std::invalid_argument);
@@ -82,7 +91,7 @@ TEST(PolicyRegistry, BadIterationSuffixThrows) {
   EXPECT_THROW((void)reg.make_matcher("islip:", ctx4()), std::invalid_argument);
   EXPECT_THROW((void)reg.make_estimator("ewma:1.5", ctx4()), std::invalid_argument);
   EXPECT_THROW((void)reg.make_estimator("ewma:0", ctx4()), std::invalid_argument);
-  EXPECT_THROW((void)reg.make_timing("hw:0MHz", ctx4()), std::invalid_argument);
+  EXPECT_THROW((void)reg.make_timing("hardware:0MHz", ctx4()), std::invalid_argument);
 }
 
 TEST(PolicyRegistry, DuplicateRegistrationThrows) {
@@ -164,7 +173,7 @@ TEST(PolicyRegistry, SolsticeArgumentSetsAmortisationIncludingZero) {
 TEST(PolicyRegistry, HardwareClockArgumentScalesLatency) {
   auto& reg = PolicyRegistry::instance();
   const auto slow = reg.make_timing("hardware", ctx4());
-  const auto fast = reg.make_timing("hw:500MHz", ctx4());
+  const auto fast = reg.make_timing("hardware:500MHz", ctx4());
   EXPECT_LT(fast->decision_latency(16, 4, true).total(),
             slow->decision_latency(16, 4, true).total());
 }
@@ -214,10 +223,10 @@ TEST(PolicyStack, ParseClassifiesBareSegmentsByRegistry) {
   EXPECT_EQ(s.timing, "software");
   EXPECT_EQ(s.circuit, "solstice");  // untouched default
 
-  const PolicyStack hybrid = PolicyStack::parse("cthrough/instant/hw:500MHz");
+  const PolicyStack hybrid = PolicyStack::parse("cthrough/instantaneous/hardware:500MHz");
   EXPECT_EQ(hybrid.circuit, "cthrough");
-  EXPECT_EQ(hybrid.estimator, "instant");
-  EXPECT_EQ(hybrid.timing, "hw:500MHz");
+  EXPECT_EQ(hybrid.estimator, "instantaneous");
+  EXPECT_EQ(hybrid.timing, "hardware:500MHz");
 }
 
 TEST(PolicyStack, ParseAcceptsExplicitKindPrefixes) {

@@ -8,6 +8,7 @@
 
 #include "core/framework.hpp"
 #include "schedulers/policy_registry.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace xdrs::core {
@@ -32,14 +33,15 @@ TEST(Protocol, GrantsNeverPrecedeConfigurationCompletion) {
   // the processing logic follow circuit establishment.  In the trace this
   // reads: between a reconfig-start and its reconfig-done there is no OCS
   // grant release.
-  HybridSwitchFramework fw{traced_config()};
+  topo::FatTree ft{{}, traced_config()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   fw.trace().enable();
   topo::WorkloadSpec spec;
   spec.kind = topo::WorkloadSpec::Kind::kOnOffBursts;
   spec.seed = 21;
   topo::attach_workload(fw, spec);
-  (void)fw.run(5_ms);
+  (void)ft.run(5_ms);
 
   bool dark = false;
   std::uint64_t grants_checked = 0;
@@ -55,14 +57,15 @@ TEST(Protocol, GrantsNeverPrecedeConfigurationCompletion) {
 }
 
 TEST(Protocol, ScheduleAlwaysPrecedesItsReconfiguration) {
-  HybridSwitchFramework fw{traced_config()};
+  topo::FatTree ft{{}, traced_config()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   fw.trace().enable();
   topo::WorkloadSpec spec;
   spec.load = 0.4;
   spec.seed = 23;
   topo::attach_workload(fw, spec);
-  (void)fw.run(3_ms);
+  (void)ft.run(3_ms);
 
   // Every reconfig-start must be preceded by at least one schedule-done.
   bool scheduled = false;
@@ -75,7 +78,8 @@ TEST(Protocol, ScheduleAlwaysPrecedesItsReconfiguration) {
 }
 
 TEST(Protocol, EveryDeliveryHasADequeueOrBypass) {
-  HybridSwitchFramework fw{traced_config()};
+  topo::FatTree ft{{}, traced_config()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   fw.trace().enable();
   topo::WorkloadSpec spec;
@@ -83,7 +87,7 @@ TEST(Protocol, EveryDeliveryHasADequeueOrBypass) {
   spec.seed = 25;
   topo::attach_workload(fw, spec);
   topo::attach_voip(fw, 2, 40_us, 200);
-  (void)fw.run(3_ms);
+  (void)ft.run(3_ms);
 
   const auto deliveries = fw.trace().count(TraceCategory::kDeliver);
   const auto dequeues = fw.trace().count(TraceCategory::kDequeue);
@@ -98,14 +102,15 @@ TEST(Protocol, EveryDeliveryHasADequeueOrBypass) {
 TEST(Protocol, RequestsFireOncePerBusyPeriod) {
   // The request trace must match the VOQ non-empty transitions: a request
   // per busy period, not per packet.
-  HybridSwitchFramework fw{traced_config()};
+  topo::FatTree ft{{}, traced_config()};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   fw.trace().enable();
   topo::WorkloadSpec spec;
   spec.load = 0.5;
   spec.seed = 27;
   topo::attach_workload(fw, spec);
-  (void)fw.run(2_ms);
+  (void)ft.run(2_ms);
 
   const auto requests = fw.trace().count(TraceCategory::kRequest);
   const auto enqueues = fw.trace().count(TraceCategory::kEnqueue);
@@ -142,7 +147,8 @@ TEST_P(ConfigGrid, AccountingIdentitiesHold) {
   c.voq_limits.max_bytes_per_voq = 256 * 1024;
 
   c.seed = 3;  // feeds randomized matchers via the policy context
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   if (g.discipline == SchedulingDiscipline::kSlotted) {
     fw.set_policies(PolicyStack{}.with_matcher(g.matcher));
   } else {
@@ -157,7 +163,7 @@ TEST_P(ConfigGrid, AccountingIdentitiesHold) {
   topo::attach_workload(fw, spec);
   topo::attach_voip(fw, 2, 40_us, 200);
 
-  const RunReport r = fw.run(3_ms, 500_us);
+  const RunReport r = ft.run(3_ms, 500_us);
 
   // Identities that must hold for every configuration:
   EXPECT_LE(r.delivered_bytes, r.offered_bytes);
@@ -212,13 +218,14 @@ TEST_P(FailureGrid, FlakyOpticsDegradeGracefully) {
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
   c.ocs_failure_prob = GetParam();
-  HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
   topo::WorkloadSpec spec;
   spec.load = 0.3;
   spec.seed = 41;
   topo::attach_workload(fw, spec);
-  const RunReport r = fw.run(3_ms, 500_us);
+  const RunReport r = ft.run(3_ms, 500_us);
   EXPECT_GT(r.delivered_packets, 0u);
   EXPECT_GT(r.delivery_ratio(), 0.5) << "p=" << GetParam() << "\n" << r.summary();
 }

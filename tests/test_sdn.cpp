@@ -9,6 +9,7 @@
 #include "schedulers/policy_registry.hpp"
 #include "schedulers/hungarian.hpp"
 #include "schedulers/serena.hpp"
+#include "topo/fat_tree.hpp"
 #include "topo/testbed.hpp"
 
 namespace xdrs {
@@ -289,7 +290,8 @@ TEST(ElephantPinner, EndToEndOnFramework) {
   c.discipline = core::SchedulingDiscipline::kHybridEpoch;
   c.epoch = 100_us;
   c.ocs_reconfig = 1_us;
-  core::HybridSwitchFramework fw{c};
+  topo::FatTree ft{{}, c};
+  core::HybridSwitchFramework& fw = ft.rack(0);
   fw.use_default_policies();
 
   control::SdnController sdn{fw.classifier()};
@@ -304,7 +306,7 @@ TEST(ElephantPinner, EndToEndOnFramework) {
   bursts.seed = 3;
   topo::attach_workload(fw, bursts);
 
-  const core::RunReport r = fw.run(8_ms, 1_ms);
+  const core::RunReport r = ft.run(8_ms, 1_ms);
   EXPECT_GT(pinner.pin_events(), 0u);
   EXPECT_GT(r.delivery_ratio(), 0.8);
   // At least one pinned flow saw traffic.
