@@ -4,7 +4,8 @@
 // circuit planners, the event engine, the VOQ bank and the packet FIFOs of
 // a DrainQueue and the OCS), plus a
 // self-contained timing mode
-// (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
+// (`--ports=N [--csv=PATH]`) that emits machine-readable numbers for every
+// matcher and the allocation-free circuit planners, so kernel
 // before/after comparisons are recorded, not copy-pasted.
 //
 // Grounds the paper's claim that schedule computation is the bottleneck a
@@ -367,6 +368,10 @@ bool link_alloc_check() {
   return ok;
 }
 
+/// The circuit planners that plan without allocating: the alloc-check gates
+/// them and the timing mode times them.
+constexpr const char* kTimedPlanners[] = {"solstice", "solstice:0", "solstice:1.5", "cthrough"};
+
 /// The planner half of `--alloc-check`: circuit_scheduler.hpp promises
 /// that solstice and cthrough plan without heap allocation once their
 /// workspaces and the recycled plan have grown to the demand's shape.  Each
@@ -375,7 +380,6 @@ bool link_alloc_check() {
 /// rotations of plan_into.  (bvn and tms allocate per decomposition term
 /// by design, so they are not gated.)
 bool planner_alloc_check(std::uint32_t ports) {
-  constexpr const char* kPlanners[] = {"solstice", "solstice:0", "solstice:1.5", "cthrough"};
   constexpr double kDensities[] = {0.5, 0.05, 0.9, 0.2};
   constexpr int kWarmupRotations = 4;
   constexpr int kMeasuredRotations = 8;
@@ -389,7 +393,7 @@ bool planner_alloc_check(std::uint32_t ports) {
   std::printf("steady-state heap allocations per %d plans (%u ports):\n",
               kMeasuredRotations * static_cast<int>(demands.size()), ports);
   bool ok = true;
-  for (const char* spec : kPlanners) {
+  for (const char* spec : kTimedPlanners) {
     auto planner = schedulers::PolicyRegistry::instance().make_circuit(spec, ctx);
     schedulers::CircuitPlan plan;
     for (int i = 0; i < kWarmupRotations; ++i) {
@@ -474,16 +478,37 @@ int alloc_check() {
   return 0;
 }
 
-/// `--ports=N [--csv=PATH]`: time every registered matcher at exactly the
-/// requested port counts (repeatable flag) over the same randomized demand
-/// the microbenchmarks use, and optionally append the numbers to a CSV —
-/// one row per (spec, ports) — so kernel before/after comparisons live in
-/// version-controllable files instead of terminal scrollback.
-int timing_mode(const std::vector<std::uint32_t>& port_counts, const std::string& csv_path) {
+/// Mean nanoseconds per call of `decide` once warm: whole batches of 64
+/// run until the measured window is long enough for the clock resolution
+/// to be noise.  Stores the number of calls timed in `decisions`.
+template <typename Decide>
+double ns_per_call(Decide&& decide, std::uint64_t& decisions) {
   using clock = std::chrono::steady_clock;
   constexpr int kWarmupDecisions = 64;
   constexpr auto kMinWindow = std::chrono::milliseconds{200};
+  for (int i = 0; i < kWarmupDecisions; ++i) decide();
+  decisions = 0;
+  const auto start = clock::now();
+  auto elapsed = start - start;
+  while (elapsed < kMinWindow) {
+    for (int i = 0; i < 64; ++i) decide();
+    decisions += 64;
+    elapsed = clock::now() - start;
+  }
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
+         static_cast<double>(decisions);
+}
 
+/// `--ports=N [--csv=PATH]`: time every registered matcher, and the
+/// allocation-free circuit planners, at exactly the requested port counts
+/// (repeatable flag) over the same randomized demand the microbenchmarks
+/// use, and optionally append the numbers to a CSV — one row per (spec,
+/// ports) — so kernel before/after comparisons live in
+/// version-controllable files instead of terminal scrollback.  A planner's
+/// row times one plan_into per decision; its `iters_used` is the plan's
+/// slot count.
+int timing_mode(const std::vector<std::uint32_t>& port_counts, const std::string& csv_path) {
   std::FILE* csv = nullptr;
   if (!csv_path.empty()) {
     csv = std::fopen(csv_path.c_str(), "w");
@@ -494,38 +519,36 @@ int timing_mode(const std::vector<std::uint32_t>& port_counts, const std::string
     std::fprintf(csv, "spec,name,ports,decisions,ns_per_decision,iters_used\n");
   }
 
+  const auto report = [csv](const std::string& spec, const std::string& name, std::uint32_t ports,
+                            std::uint64_t decisions, double ns, std::uint32_t iters) {
+    std::printf("  %-12s %-18s %12.1f ns/decision  (%llu decisions, %u iters)\n", spec.c_str(),
+                name.c_str(), ns, static_cast<unsigned long long>(decisions), iters);
+    if (csv != nullptr) {
+      std::fprintf(csv, "%s,%s,%u,%llu,%.1f,%u\n", spec.c_str(), name.c_str(), ports,
+                   static_cast<unsigned long long>(decisions), ns, iters);
+    }
+  };
   const auto& registry = schedulers::PolicyRegistry::instance();
   for (const std::uint32_t ports : port_counts) {
     const demand::DemandMatrix d = random_demand(ports, ports * 7 + 1, 0.5);
-    std::printf("matcher compute cost at %u ports:\n", ports);
+    std::printf("matcher and planner compute cost at %u ports:\n", ports);
     for (const auto& spec : registry.known_specs(schedulers::PolicyKind::kMatcher)) {
       auto matcher = registry.make_matcher(spec, {.ports = ports, .seed = 42});
       schedulers::Matching out;
-      for (int i = 0; i < kWarmupDecisions; ++i) matcher->compute_into(d, out);
-
-      // Run whole batches until the measured window is long enough for the
-      // clock resolution to be noise.
       std::uint64_t decisions = 0;
-      const auto start = clock::now();
-      auto elapsed = start - start;
-      while (elapsed < kMinWindow) {
-        for (int i = 0; i < 64; ++i) matcher->compute_into(d, out);
-        decisions += 64;
-        elapsed = clock::now() - start;
-      }
-      const double ns =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-          static_cast<double>(decisions);
-
-      std::printf("  %-12s %-18s %12.1f ns/decision  (%llu decisions, %u iters)\n",
-                  spec.c_str(), matcher->name().c_str(), ns,
-                  static_cast<unsigned long long>(decisions), matcher->last_iterations());
-      if (csv != nullptr) {
-        std::fprintf(csv, "%s,%s,%u,%llu,%.1f,%u\n", spec.c_str(), matcher->name().c_str(),
-                     ports, static_cast<unsigned long long>(decisions), ns,
-                     matcher->last_iterations());
-      }
+      const double ns = ns_per_call([&] { matcher->compute_into(d, out); }, decisions);
+      report(spec, matcher->name(), ports, decisions, ns, matcher->last_iterations());
+    }
+    // The planners' reconfiguration cost is one microsecond of a 10 Gbps
+    // port, as in the alloc-check.
+    const schedulers::PolicyContext ctx{.ports = ports, .seed = 42, .reconfig_cost_bytes = 1'250};
+    for (const char* spec : kTimedPlanners) {
+      auto planner = registry.make_circuit(spec, ctx);
+      schedulers::CircuitPlan plan;
+      std::uint64_t plans = 0;
+      const double ns = ns_per_call([&] { planner->plan_into(d, plan); }, plans);
+      report(spec, planner->name(), ports, plans, ns,
+             static_cast<std::uint32_t>(plan.slots.size()));
     }
   }
   if (csv != nullptr) std::fclose(csv);

@@ -70,8 +70,9 @@ struct FrameworkConfig {
   BufferPlacement placement{BufferPlacement::kToRSwitch};
   SchedulingDiscipline discipline{SchedulingDiscipline::kHybridEpoch};
 
-  /// kSlotted: slot length.  Must carry one MTU plus ocs_path_latency()
-  /// (the framework rejects a shorter slot).
+  /// kSlotted: slot length.  Must carry one MTU plus ocs_reconfig, two
+  /// sync guard bands and ocs_path_latency() (the framework rejects a
+  /// shorter slot).
   sim::Time slot_time{sim::Time::nanoseconds(12'500)};
   /// kHybridEpoch: demand snapshot / replanning period.
   sim::Time epoch{sim::Time::milliseconds(1)};

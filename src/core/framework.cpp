@@ -25,16 +25,21 @@ HybridSwitchFramework::HybridSwitchFramework(sim::Simulator& shared, FrameworkCo
       processing_{sim_, cfg_, classifier_, ocs_, eps_, sync_, trace_},
       scheduling_{sim_, cfg_, switching_, trace_} {
   if (cfg.ports < 2) throw std::invalid_argument{"Framework: need >= 2 ports"};
-  // A slotted window closes ocs_path_latency() before its slot ends, so a
-  // slot shorter than one MTU's serialisation plus that latency delivers
-  // nothing.
+  // A slotted grant opens one OCS retune plus a guard band after the
+  // decision lands, and closes ocs_path_latency() plus a guard band before
+  // the slot ends, so a slot that cannot serialise one MTU between the two
+  // delivers nothing.  (The decision's own latency comes from the timing
+  // model and is not known here.)
   constexpr std::int64_t kMtuBytes = 1500;
   if (cfg.discipline == SchedulingDiscipline::kSlotted &&
-      cfg.slot_time - cfg.ocs_path_latency() <
+      cfg.slot_time - cfg.ocs_reconfig - 2 * cfg.sync.guard_band - cfg.ocs_path_latency() <
           cfg.link_rate.transmission_time(kMtuBytes + sim::kWireOverheadBytes)) {
-    throw std::invalid_argument{"Framework: slot_time " + cfg.slot_time.to_string() +
-                                " cannot carry one MTU (" + std::to_string(kMtuBytes) +
-                                " B) before its window closes"};
+    throw std::invalid_argument{
+        "Framework: slot_time " + cfg.slot_time.to_string() + " cannot carry one MTU (" +
+        std::to_string(kMtuBytes) + " B) after the OCS retune (" +
+        cfg.ocs_reconfig.to_string() + "), two guard bands (" +
+        cfg.sync.guard_band.to_string() + " each) and the OCS path latency (" +
+        cfg.ocs_path_latency().to_string() + ")"};
   }
   wire();
 }

@@ -187,6 +187,8 @@ void ProcessingLogic::pump_ocs(net::PortId input) {
     trace_.record(now, TraceCategory::kDrop, input, g.dst);
     if (cfg_.eps_fallback_on_miss) {
       eps_wires_[input].offer(p);
+    } else {
+      stats_.sync_lost_bytes += p.size_bytes;
     }
   }
   wake_ocs_at(input, st.ocs_tx_until);

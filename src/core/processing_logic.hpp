@@ -41,6 +41,9 @@ struct ProcessingStats {
   std::uint64_t ingested_packets{0};
   std::int64_t ingested_bytes{0};
   std::uint64_t sync_losses{0};
+  /// Bytes of the sync losses not diverted to the EPS (all of them unless
+  /// eps_fallback_on_miss).
+  std::int64_t sync_lost_bytes{0};
   std::uint64_t eps_bypass_packets{0};
   std::uint64_t granted_ocs_packets{0};
   std::uint64_t granted_eps_packets{0};

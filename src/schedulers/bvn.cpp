@@ -61,11 +61,10 @@ BvnResult bvn_decompose(const demand::DemandMatrix& dem, std::size_t max_terms) 
     }
 
     BvnTerm term;
-    term.permutation = Matching{n, n};
+    term.permutation.assign_permutation(hk.left_matches());
     std::int64_t w = std::numeric_limits<std::int64_t>::max();
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t j = hk.match_of_left(i);
-      term.permutation.match(i, j);
+      const std::uint32_t j = hk.left_matches()[i];
       w = std::min(w, real.at(i, j) + slack.at(i, j));
     }
     term.weight = w;

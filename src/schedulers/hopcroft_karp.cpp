@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 
 #include "util/bitset.hpp"
 
 namespace xdrs::schedulers {
-
-namespace {
-constexpr std::uint32_t kInfDist = std::numeric_limits<std::uint32_t>::max();
-}
 
 HopcroftKarp::HopcroftKarp(std::uint32_t left_count, std::uint32_t right_count)
     : left_count_{0}, right_count_{0}, wpr_{0} {
@@ -38,110 +33,145 @@ void HopcroftKarp::reset(std::uint32_t left_count, std::uint32_t right_count) {
     right_count_ = right_count;
     wpr_ = util::words_for_bits(right_count);
     adj_.resize(static_cast<std::size_t>(left_count) * wpr_);
-    rights_.resize(wpr_);
+    free_rights_.resize(wpr_);
+    free_lefts_.resize(util::words_for_bits(left_count));
+    // Layer d >= 1 holds at least one matched left, so the deepest layer
+    // is at most left_count, and the BFS ends by writing the one below it.
+    layers_.resize((static_cast<std::size_t>(left_count) + 2) * wpr_);
+    reached_.resize(wpr_);
+    frontier_.resize(wpr_);
     match_left_.resize(left_count);
     match_right_.resize(right_count);
-    dist_.resize(left_count);
-    queue_.reserve(left_count);  // each left enters the BFS FIFO at most once
   }
   clear_edges();
 }
 
-void HopcroftKarp::fill_rights() {
-  std::fill(rights_.begin(), rights_.end(), ~std::uint64_t{0});
-  if (wpr_ > 0) rights_[wpr_ - 1] = util::tail_mask(right_count_);
-}
-
+template <std::uint32_t kWords>
 std::uint32_t HopcroftKarp::greedy() {
-  // From an empty matching every left is at distance 0, so the first
-  // phase's DFS never recurses: each left in turn takes its lowest free
-  // right.
-  fill_rights();  // every right starts free
+  // From an empty matching every left is in layer 0, so the first phase's
+  // DFS never recurses: each left in turn takes its lowest free right.
+  const std::uint32_t wpr = words<kWords>();
+  std::uint64_t* free_rights = free_rights_.data();
+  std::fill_n(free_rights, wpr, ~std::uint64_t{0});
+  if (wpr > 0) free_rights[wpr - 1] = util::tail_mask(right_count_);
+  std::fill(free_lefts_.begin(), free_lefts_.end(), 0);
   std::uint32_t matched = 0;
   for (std::uint32_t l = 0; l < left_count_; ++l) {
     const std::uint64_t* adj = row(l);
-    for (std::uint32_t w = 0; w < wpr_; ++w) {
-      const std::uint64_t m = adj[w] & rights_[w];
-      if (m == 0) continue;
-      const std::uint32_t r = w * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
-      match_left_[l] = r;
-      match_right_[r] = l;
-      rights_[w] &= ~(std::uint64_t{1} << (r % 64u));
-      ++matched;
-      break;
+    std::uint32_t w = 0;
+    while (w < wpr && (adj[w] & free_rights[w]) == 0) ++w;
+    if (w == wpr) {
+      free_lefts_[l / 64u] |= std::uint64_t{1} << (l % 64u);
+      continue;
     }
+    const std::uint64_t m = adj[w] & free_rights[w];
+    const std::uint32_t r = w * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
+    match_left_[l] = r;
+    match_right_[r] = l;
+    free_rights[w] &= ~(std::uint64_t{1} << (r % 64u));
+    ++matched;
   }
   return matched;
 }
 
-bool HopcroftKarp::bfs() {
-  // Each left vertex enters the FIFO at most once per phase: it is reached
-  // only through its matched right, and each right is expanded once (the
-  // `rights_` mask holds those not yet reached).
-  queue_.clear();
-  std::size_t head = 0;
-  for (std::uint32_t l = 0; l < left_count_; ++l) {
-    if (match_left_[l] == kFree) {
-      dist_[l] = 0;
-      queue_.push_back(l);
-    } else {
-      dist_[l] = kInfDist;
+template <std::uint32_t kWords>
+bool HopcroftKarp::build_layers() {
+  // Layer 0 is the free lefts.  The rights first reached from layer d are
+  // either free (an augmenting path ends there) or matched into layer
+  // d + 1.  Each right is reached once, and the BFS runs to exhaustion, as
+  // the DFS may end a path at a free right in any layer.
+  const std::uint32_t wpr = words<kWords>();
+  std::uint64_t* reached = reached_.data();
+  std::uint64_t* frontier = frontier_.data();  // rights adjacent to the layer
+  std::fill_n(reached, wpr, 0);
+  std::fill_n(frontier, wpr, 0);
+  std::fill_n(layer_rights(0), wpr, 0);
+  for (std::uint32_t lw = 0; lw < free_lefts_.size(); ++lw) {
+    for (std::uint64_t m = free_lefts_[lw]; m != 0; m &= m - 1) {
+      const std::uint64_t* adj = row(lw * 64u + static_cast<std::uint32_t>(std::countr_zero(m)));
+      for (std::uint32_t w = 0; w < wpr; ++w) frontier[w] |= adj[w];
     }
   }
-  fill_rights();
-  bool found_augmenting = false;
-  while (head < queue_.size()) {
-    const std::uint32_t l = queue_[head++];
-    const std::uint64_t* adj = row(l);
-    for (std::uint32_t w = 0; w < wpr_; ++w) {
-      std::uint64_t m = adj[w] & rights_[w];
-      rights_[w] &= ~m;
-      while (m != 0) {
-        const std::uint32_t r = w * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
-        m &= m - 1;
-        const std::uint32_t next = match_right_[r];
-        if (next == kFree) {
-          found_augmenting = true;
-        } else {
-          dist_[next] = dist_[l] + 1;
-          queue_.push_back(next);
+  bool found = false;
+  for (std::uint32_t depth = 1;; ++depth) {
+    std::uint64_t* layer = layer_rights(depth);
+    std::uint64_t any = 0;
+    for (std::uint32_t w = 0; w < wpr; ++w) {
+      const std::uint64_t fresh = frontier[w] & ~reached[w];
+      reached[w] |= fresh;
+      found |= (fresh & free_rights_[w]) != 0;
+      layer[w] = fresh & ~free_rights_[w];
+      any |= layer[w];
+    }
+    if (any == 0) return found;
+    std::fill_n(frontier, wpr, 0);
+    for (std::uint32_t rw = 0; rw < wpr; ++rw) {
+      for (std::uint64_t m = layer[rw]; m != 0; m &= m - 1) {
+        const std::uint32_t r = rw * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
+        const std::uint64_t* adj = row(match_right_[r]);
+        for (std::uint32_t w = 0; w < wpr; ++w) frontier[w] |= adj[w];
+      }
+    }
+  }
+}
+
+template <std::uint32_t kWords>
+bool HopcroftKarp::augment(std::uint32_t left, std::uint32_t depth) {
+  // The candidates are the free rights and the rights matched into the
+  // next layer.  Until this call succeeds, a failed call below it changes
+  // only deeper layers and the bit it was entered through, so one mask per
+  // word stays exact for the whole scan.
+  const std::uint32_t wpr = words<kWords>();
+  const std::uint64_t* adj = row(left);
+  std::uint64_t* here = layer_rights(depth);
+  std::uint64_t* next = here + wpr;
+  for (std::uint32_t w = 0; w < wpr; ++w) {
+    for (std::uint64_t m = adj[w] & (free_rights_[w] | next[w]); m != 0; m &= m - 1) {
+      const std::uint64_t bit = m & (~m + 1);
+      const std::uint32_t r = w * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
+      if ((free_rights_[w] & bit) != 0) {
+        free_rights_[w] &= ~bit;
+      } else {
+        // r's partner either fails and leaves its layer, or passes r up to
+        // `left`: r leaves the next layer either way.
+        const bool augmented = augment<kWords>(match_right_[r], depth + 1);
+        next[w] &= ~bit;
+        if (!augmented) continue;
+      }
+      here[w] |= bit;
+      match_left_[left] = r;
+      match_right_[r] = left;
+      return true;
+    }
+  }
+  return false;
+}
+
+template <std::uint32_t kWords>
+std::uint32_t HopcroftKarp::search() {
+  std::uint32_t matched = greedy<kWords>();
+  phases_ = matched > 0 ? 1 : 0;
+  while (build_layers<kWords>()) {
+    ++phases_;
+    // Lefts free at the BFS stay free until their own DFS, so the mask can
+    // be walked as it was when the phase began.
+    for (std::uint32_t lw = 0; lw < free_lefts_.size(); ++lw) {
+      for (std::uint64_t m = free_lefts_[lw]; m != 0; m &= m - 1) {
+        const std::uint32_t l = lw * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
+        if (augment<kWords>(l, 0)) {
+          free_lefts_[lw] &= ~(m & (~m + 1));
+          ++matched;
         }
       }
     }
   }
-  return found_augmenting;
-}
-
-bool HopcroftKarp::dfs(std::uint32_t left) {
-  const std::uint64_t* adj = row(left);
-  const std::uint32_t next_dist = dist_[left] + 1;
-  for (std::uint32_t w = 0; w < wpr_; ++w) {
-    for (std::uint64_t m = adj[w]; m != 0; m &= m - 1) {
-      const std::uint32_t r = w * 64u + static_cast<std::uint32_t>(std::countr_zero(m));
-      const std::uint32_t next = match_right_[r];
-      if (next == kFree || (dist_[next] == next_dist && dfs(next))) {
-        match_left_[left] = r;
-        match_right_[r] = left;
-        return true;
-      }
-    }
-  }
-  dist_[left] = kInfDist;
-  return false;
+  return matched;
 }
 
 std::uint32_t HopcroftKarp::solve() {
   std::fill(match_left_.begin(), match_left_.end(), kFree);
   std::fill(match_right_.begin(), match_right_.end(), kFree);
-  std::uint32_t matched = greedy();
-  phases_ = matched > 0 ? 1 : 0;
-  while (bfs()) {
-    ++phases_;
-    for (std::uint32_t l = 0; l < left_count_; ++l) {
-      if (match_left_[l] == kFree && dfs(l)) ++matched;
-    }
-  }
-  return matched;
+  return wpr_ == 1 ? search<1>() : search<0>();
 }
 
 std::uint32_t HopcroftKarp::match_of_left(std::uint32_t left) const {

@@ -11,10 +11,19 @@
 // at bit r % 64 of word r / 64.  Rows are visited lowest bit first, so the
 // augmenting-path search tries rights in ascending order, and the matching
 // depends only on the edge set, never on the order edges were added in.
+//
+// The search is layered on word masks too.  Each phase's BFS keeps, per
+// layer d, the mask of rights matched into layer d (the lefts of layer d are
+// exactly those rights' partners, so no per-left distance is stored), and a
+// DFS from a left of layer d scans only its row ANDed with the free rights
+// and the rights matched into layer d + 1 — the rights an unrestricted scan
+// would follow.  Augmenting moves each right of the path one layer up, and a
+// left whose DFS fails leaves its layer; both update the masks in place.
 #ifndef XDRS_SCHEDULERS_HOPCROFT_KARP_HPP
 #define XDRS_SCHEDULERS_HOPCROFT_KARP_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "schedulers/matcher.hpp"
@@ -50,6 +59,11 @@ class HopcroftKarp {
 
   /// Partner of a left vertex after solve(), or kFree.
   [[nodiscard]] std::uint32_t match_of_left(std::uint32_t left) const;
+  /// Every left's partner after solve() (kFree when unmatched), indexed by
+  /// left: after a perfect solve, the permutation itself.
+  [[nodiscard]] std::span<const std::uint32_t> left_matches() const noexcept {
+    return match_left_;
+  }
 
   static constexpr std::uint32_t kFree = 0xffffffffu;
 
@@ -58,20 +72,36 @@ class HopcroftKarp {
   [[nodiscard]] std::uint32_t phases() const noexcept { return phases_; }
 
  private:
+  // The search, on rows of kWords words (0: wpr_ words, read at run time),
+  // so the one-word rows of up to 64 rights compile to scalar code.
+  template <std::uint32_t kWords>
+  [[nodiscard]] std::uint32_t words() const noexcept {
+    return kWords != 0 ? kWords : wpr_;
+  }
+  template <std::uint32_t kWords>
+  [[nodiscard]] std::uint32_t search();
+  template <std::uint32_t kWords>
   [[nodiscard]] std::uint32_t greedy();
-  [[nodiscard]] bool bfs();
-  [[nodiscard]] bool dfs(std::uint32_t left);
-  void fill_rights();  ///< sets every right's bit in rights_
+  template <std::uint32_t kWords>
+  [[nodiscard]] bool build_layers();
+  template <std::uint32_t kWords>
+  [[nodiscard]] bool augment(std::uint32_t left, std::uint32_t depth);
+
+  /// Rights matched into layer `depth` (wpr_ words).
+  [[nodiscard]] std::uint64_t* layer_rights(std::uint32_t depth) noexcept {
+    return layers_.data() + static_cast<std::size_t>(depth) * wpr_;
+  }
 
   std::uint32_t left_count_;
   std::uint32_t right_count_;
-  std::uint32_t wpr_;                 ///< words per adjacency row
-  std::vector<std::uint64_t> adj_;    ///< left_count x wpr_, left-major
-  std::vector<std::uint64_t> rights_;  ///< scratch right mask (free / unreached)
+  std::uint32_t wpr_;                       ///< words per adjacency row
+  std::vector<std::uint64_t> adj_;          ///< left_count x wpr_, left-major
+  std::vector<std::uint64_t> free_rights_;  ///< unmatched rights, wpr_ words
+  std::vector<std::uint64_t> free_lefts_;   ///< unmatched lefts, one bit each
+  std::vector<std::uint64_t> layers_;       ///< (left_count + 2) x wpr_: layer_rights
+  std::vector<std::uint64_t> reached_, frontier_;  ///< BFS scratch, wpr_ words each
   std::vector<std::uint32_t> match_left_;
   std::vector<std::uint32_t> match_right_;
-  std::vector<std::uint32_t> dist_;
-  std::vector<std::uint32_t> queue_;  ///< recycled BFS FIFO (head-indexed)
   std::uint32_t phases_{0};
 };
 

@@ -20,6 +20,14 @@ void Matching::match(net::PortId i, net::PortId j) {
   ++matched_;
 }
 
+void Matching::assign_permutation(std::span<const std::uint32_t> permutation) {
+  const auto n = static_cast<std::uint32_t>(permutation.size());
+  out_of_.assign(permutation.begin(), permutation.end());
+  in_of_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) in_of_[permutation[i]] = i;
+  matched_ = n;
+}
+
 void Matching::unmatch_input(net::PortId i) {
   if (i >= out_of_.size()) throw std::out_of_range{"Matching::unmatch_input"};
   if (out_of_[i] == kUnmatched) return;

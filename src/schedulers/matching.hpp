@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,13 @@ class Matching {
   /// Pairs input `i` with output `j`.  Throws if either side is already
   /// matched to a different partner (a grant matrix must stay conflict-free).
   void match(net::PortId i, net::PortId j);
+
+  /// Replaces the matching with the full permutation input i ->
+  /// `permutation[i]`, re-dimensioning to n x n (n = permutation.size())
+  /// without allocating when the shape already matches.  Unchecked: the
+  /// entries must be distinct outputs below n — as the left→right array of
+  /// a perfect Hopcroft–Karp solve is.
+  void assign_permutation(std::span<const std::uint32_t> permutation);
 
   /// Dissolves the pair containing input `i`, if any.
   void unmatch_input(net::PortId i);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -42,6 +43,17 @@ void SolsticeScheduler::bucket_pairs(std::uint32_t n, int level) {
 
 bool SolsticeScheduler::rows_cover_all_rights(std::uint32_t n) {
   const std::uint32_t wpr = hk_.words_per_row();
+  if (wpr == 1) {
+    // One word per row: OR the rows and note an empty one, without a branch.
+    const std::uint64_t* rows = hk_.row(0);
+    std::uint64_t covered = 0;
+    bool empty_row = false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      covered |= rows[i];
+      empty_row |= rows[i] == 0;
+    }
+    return !empty_row && covered == util::tail_mask(n);
+  }
   covered_.assign(wpr, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint64_t* row = hk_.row(i);
@@ -118,9 +130,10 @@ void SolsticeScheduler::plan_into(const demand::DemandMatrix& dem, CircuitPlan& 
 
     CircuitSlot& slot = out.reuse_slot(used++, n);
     slot.weight_bytes = t;
+    const std::span<const std::uint32_t> perm = hk_.left_matches();
+    slot.configuration.assign_permutation(perm);
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t j = hk_.match_of_left(i);
-      slot.configuration.match(i, j);
+      const std::uint32_t j = perm[i];
       std::int64_t& v = stuffed_[static_cast<std::size_t>(i) * n + j];
       v -= t;  // an edge, so v >= t
       if (v < t) {

@@ -43,8 +43,9 @@ void OpticalCircuitSwitch::reconfigure(const schedulers::Matching& next) {
     while (!fifo.empty() && fifo.back().delivers > sim_.now()) {
       if (fifo.back().event.valid()) sim_.cancel(fifo.back().event);
       in_flight_bytes_ -= fifo.back().packet.size_bytes;
-      fifo.pop_back();
       ++stats_.packets_cut_by_reconfig;
+      stats_.bytes_cut_by_reconfig += fifo.back().packet.size_bytes;
+      fifo.pop_back();
     }
     busy_until_[in] = std::min(busy_until_[in], sim_.now());
   }

@@ -61,6 +61,7 @@ struct OcsStats {
   std::uint64_t packets_delivered{0};
   std::int64_t bytes_delivered{0};
   std::uint64_t packets_cut_by_reconfig{0};  ///< in flight when darkness fell
+  std::int64_t bytes_cut_by_reconfig{0};      ///< their bytes
   sim::Time busy_time_total{};               ///< port-seconds of serialisation
   std::uint64_t retune_failures{0};          ///< injected retune retries
 };

@@ -61,6 +61,34 @@ TEST(Framework, RejectsASlotThatCannotCarryOneMtu) {
   EXPECT_NO_THROW((topo::FatTree{{}, hybrid}));
 }
 
+TEST(Framework, RejectsASlotEatenByTheRetune) {
+  // A 12.5 us slot less a 12 us retune leaves 0.4 us after the 100 ns OCS
+  // path latency, less than the 1.216 us one MTU takes: the slot carries
+  // nothing, and the reason names the retune.  A 1 us retune leaves room.
+  FrameworkConfig c = slotted();
+  c.slot_time = 12'500_ns;
+  c.ocs_reconfig = 12_us;
+  try {
+    topo::FatTree ft{{}, c};
+    ADD_FAILURE() << "a 12 us retune on a 12.5 us slot was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("retune"), std::string::npos) << e.what();
+  }
+  c.ocs_reconfig = 1_us;
+  EXPECT_NO_THROW((topo::FatTree{{}, c}));
+  // Both guard bands count too: after a 1 us retune and 100 ns of path,
+  // two 5 us bands leave 1.4 us, two 5.5 us bands 0.4 us.
+  c.sync.guard_band = 5_us;
+  EXPECT_NO_THROW((topo::FatTree{{}, c}));
+  c.sync.guard_band = 5'500_ns;
+  EXPECT_THROW((topo::FatTree{{}, c}), std::invalid_argument);
+  // Hybrid runs read neither slot_time nor this rule.
+  FrameworkConfig hybrid = fast_hybrid();
+  hybrid.slot_time = 12'500_ns;
+  hybrid.ocs_reconfig = 12_us;
+  EXPECT_NO_THROW((topo::FatTree{{}, hybrid}));
+}
+
 TEST(Framework, HybridDeliversModerateUniformLoad) {
   topo::FatTree ft{{}, fast_hybrid()};
   HybridSwitchFramework& fw = ft.rack(0);

@@ -373,6 +373,68 @@ TEST(HopcroftKarp, MatchesTheVectorAdjacencySolverOnRandomGraphs) {
   }
 }
 
+TEST(HopcroftKarp, MatchesTheReferenceAtWordBoundaries) {
+  // Every shape of {63, 64, 65, 127, 128, 129} lefts by the same right
+  // counts, on either side of the one- and two-word rows.  One recycled
+  // solver is driven the way Solstice drives its own: solve, drop some
+  // matched edges (a slice lowers those pairs below the threshold), OR new
+  // edges into the rows (halving the threshold admits a bucket), solve
+  // again.  After every solve its matching and phase count are compared
+  // with a fresh reference solver, so layer masks left stale by an earlier
+  // solve or shape would show.
+  constexpr std::uint32_t kSizes[] = {63, 64, 65, 127, 128, 129};
+  constexpr int kRounds = 6;
+  sim::Rng rng{43};
+  HopcroftKarp hk{0, 0};
+  std::uint32_t max_phases = 0;
+  for (const std::uint32_t lefts : kSizes) {
+    for (const std::uint32_t rights : kSizes) {
+      SCOPED_TRACE(::testing::Message() << lefts << " x " << rights);
+      hk.reset(lefts, rights);
+      std::vector<std::vector<bool>> edge(lefts, std::vector<bool>(rights, false));
+      const double density = 0.5 / lefts + rng.next_double() * 0.06;
+      for (std::uint32_t l = 0; l < lefts; ++l) {
+        for (std::uint32_t r = 0; r < rights; ++r) {
+          if (!rng.bernoulli(density)) continue;
+          edge[l][r] = true;
+          hk.add_edge(l, r);
+        }
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        reference::HopcroftKarp ref{lefts, rights};
+        for (std::uint32_t l = 0; l < lefts; ++l) {
+          for (std::uint32_t r = 0; r < rights; ++r) {
+            if (edge[l][r]) ref.add_edge(l, r);
+          }
+        }
+        const std::uint32_t size = ref.solve();
+        ASSERT_EQ(hk.solve(), size) << "round " << round;
+        ASSERT_EQ(hk.phases(), ref.phases()) << "round " << round;
+        for (std::uint32_t l = 0; l < lefts; ++l) {
+          ASSERT_EQ(hk.match_of_left(l), ref.match_of_left(l))
+              << "round " << round << ", left " << l;
+        }
+        max_phases = std::max(max_phases, hk.phases());
+
+        for (std::uint32_t l = 0; l < lefts; ++l) {
+          const std::uint32_t r = hk.match_of_left(l);
+          if (r == HopcroftKarp::kFree || !rng.bernoulli(0.5)) continue;
+          edge[l][r] = false;
+          hk.row(l)[r / 64u] &= ~(std::uint64_t{1} << (r % 64u));
+        }
+        for (std::uint32_t l = 0; l < lefts; ++l) {
+          for (std::uint32_t r = 0; r < rights; ++r) {
+            if (edge[l][r] || !rng.bernoulli(density / 4)) continue;
+            edge[l][r] = true;
+            hk.row(l)[r / 64u] |= std::uint64_t{1} << (r % 64u);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(max_phases, 3u);  // the graphs need augmenting paths several layers deep
+}
+
 TEST(MaxSizeMatcher, CardinalityAtLeastAnyOtherMatcher) {
   MaxSizeMatcher ms;
   GreedyMaxWeightMatcher g;

@@ -100,6 +100,21 @@ TEST(Matching, RotationIsPerfectPermutation) {
   }
 }
 
+TEST(Matching, AssignPermutationEqualsMatchingEachPair) {
+  // Replaces whatever was there, re-dimensioning to the permutation's size.
+  Matching m{2, 6};
+  m.match(1, 5);
+  const std::uint32_t perm[] = {2, 0, 3, 1};
+  m.assign_permutation(perm);
+  Matching expected{4};
+  for (net::PortId i = 0; i < 4; ++i) expected.match(i, perm[i]);
+  EXPECT_EQ(m, expected);
+  EXPECT_TRUE(m.is_perfect());
+  EXPECT_EQ(m.input_of(3), 2u);
+  m.assign_permutation({});
+  EXPECT_EQ(m, Matching{0});
+}
+
 TEST(Matching, ToStringRendersPairs) {
   Matching m{3};
   m.match(0, 2);

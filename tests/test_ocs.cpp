@@ -158,6 +158,36 @@ TEST(Ocs, ReconfigurationCutsEveryPacketStillOnTheFabric) {
   EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 4u);  // 4 x 1216 ns < 5 us
 }
 
+TEST(Ocs, RetuneCutCountsTheBytesItCuts) {
+  // Packets of three sizes, sent back to back on a 2 us fabric: the retune
+  // lands after the first has arrived, so it cuts the other two, and the
+  // cut bytes are exactly theirs.
+  sim::Simulator sim;
+  OcsConfig c = base_config();
+  c.fabric_latency = 2_us;
+  OpticalCircuitSwitch ocs{sim, c};
+  ocs.reconfigure(schedulers::Matching::rotation(4, 1));
+  sim.run_until(1_us);
+
+  std::int64_t delivered_bytes = 0;
+  ocs.set_deliver_callback([&](const net::Packet& p, Time) { delivered_bytes += p.size_bytes; });
+  std::int64_t sent_bytes = 0;
+  for (const std::int64_t bytes : {1500, 400, 900}) {
+    ASSERT_TRUE(ocs.send(0, pkt(0, 1, bytes)).has_value());
+    sent_bytes += bytes;
+    sim.run_until(ocs.port_free_at(0));
+  }
+  // The first packet (1,216 ns on the wire) arrives 3.216 us after its
+  // launch at 1 us; the second and third are still in flight.
+  sim.run_until(4'300_ns);
+  ocs.reconfigure(schedulers::Matching::rotation(4, 2));
+  sim.run();
+  EXPECT_EQ(ocs.stats().packets_cut_by_reconfig, 2u);
+  EXPECT_EQ(ocs.stats().bytes_cut_by_reconfig, 400 + 900);
+  EXPECT_EQ(delivered_bytes, 1500);
+  EXPECT_EQ(delivered_bytes + ocs.stats().bytes_cut_by_reconfig, sent_bytes);
+}
+
 TEST(Ocs, RetuneCutsExactlyTheSendsStillDueToDeliver) {
   // Six back-to-back sends on input 0 and two on input 2, with a 5 us
   // fabric.  The retune fires at input 0's second delivery time, before

@@ -263,6 +263,7 @@ TEST(Processing, LaunchIntoDarknessCountsSyncLoss) {
   rig.sim.run();
   EXPECT_TRUE(rig.ocs_delivered.empty());
   EXPECT_EQ(rig.proc->stats().sync_losses, 1u);
+  EXPECT_EQ(rig.proc->stats().sync_lost_bytes, 1500);
 }
 
 TEST(Processing, MissedWindowFallsBackToEpsWhenEnabled) {
@@ -275,6 +276,7 @@ TEST(Processing, MissedWindowFallsBackToEpsWhenEnabled) {
   rig.sim.run();
   EXPECT_EQ(rig.proc->stats().sync_losses, 1u);
   ASSERT_EQ(rig.eps_delivered.size(), 1u);  // diverted, not lost
+  EXPECT_EQ(rig.proc->stats().sync_lost_bytes, 0);
 }
 
 TEST(Processing, EpsGrantDrainsVoq) {
@@ -330,6 +332,53 @@ TEST(Processing, HostSkewShiftsLaunchTime) {
   }
   // Whatever the sign of the offset, nothing is lost with a long window.
   EXPECT_EQ(rig.proc->stats().sync_losses + rig.ocs_delivered.size(), 1u);
+}
+
+TEST(Processing, SkewWithoutFallbackLosesTheBytesLaunchedIntoDarkness) {
+  // Host-buffered with skewed clocks and no EPS fallback.  The input whose
+  // clock runs earliest launches before its circuit is up, so its first
+  // packets go into darkness; every byte is either delivered over the
+  // circuit or counted as lost to sync.
+  for (const bool fallback : {false, true}) {
+    FrameworkConfig c = tor_config();
+    c.placement = BufferPlacement::kHost;
+    c.ocs_reconfig = 10_us;
+    c.sync.max_skew = 5_us;
+    c.sync.seed = 12345;
+    c.eps_fallback_on_miss = fallback;
+    Rig rig{c};
+    net::PortId early = 0;
+    for (net::PortId p = 1; p < c.ports; ++p) {
+      if (rig.sync->offset_of(p) < rig.sync->offset_of(early)) early = p;
+    }
+    ASSERT_LT(rig.sync->offset_of(early), Time::zero());
+    const net::PortId dst = (early + 1) % c.ports;  // rotation(4, 1)
+
+    std::int64_t ingested = 0;
+    for (const std::int64_t bytes : {1500, 700, 1200, 300}) {
+      rig.proc->ingest(pkt(early, dst, bytes));
+      ingested += bytes;
+    }
+    rig.sim.run_until(1_us);
+    rig.ocs->reconfigure(schedulers::Matching::rotation(4, 1));  // up at 11 us
+    const Time up = rig.sim.now() + c.ocs_reconfig;
+    rig.proc->handle_grants(ocs_grant(early, dst, 100'000, up, up + 500_us));
+    rig.sim.run();
+
+    std::int64_t delivered = 0;
+    for (const net::Packet& p : rig.ocs_delivered) delivered += p.size_bytes;
+    for (const net::Packet& p : rig.eps_delivered) delivered += p.size_bytes;
+    const ProcessingStats& st = rig.proc->stats();
+    EXPECT_GT(st.sync_losses, 0u) << "fallback " << fallback;
+    if (fallback) {
+      EXPECT_EQ(st.sync_lost_bytes, 0);  // every missed packet took the EPS
+      EXPECT_EQ(delivered, ingested);
+    } else {
+      EXPECT_GT(st.sync_lost_bytes, 0);
+      EXPECT_TRUE(rig.eps_delivered.empty());
+      EXPECT_EQ(delivered + st.sync_lost_bytes, ingested);
+    }
+  }
 }
 
 // ---- one OCS service chain per input ---------------------------------------
